@@ -22,7 +22,6 @@ from balancenet.corrnet import (
     student_t_cdf,
     t_critical,
     t_statistic,
-    threshold_network,
     validate,
 )
 from balancenet.signedgraph import (
@@ -72,7 +71,6 @@ __all__ = [
     "student_t_cdf",
     "critical_correlation",
     "validate",
-    "threshold_network",
     "network_stats",
     "save_validated",
     "load_validated",

@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,11 @@ def _signed_as_matrix(g: SignedGraph) -> ValidatedCorrMatrix:
     return ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
 
 
-def _load_module(path: Path) -> Module:
-    return Module.from_report(json.loads(path.read_text()))
+def _load_module(path: Path, n: int) -> Module:
+    module = Module.from_report(json.loads(path.read_text()))
+    if module.nodes and (module.nodes[0] < 0 or module.nodes[-1] >= n):
+        raise ValueError(f"{path}: module node index outside 0..{n - 1}")
+    return module
 
 
 def _cmd_build_net(args: argparse.Namespace) -> int:
@@ -109,11 +113,11 @@ def _cmd_build_net(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     v = load_validated(args.net)
     if args.module:
-        module = _load_module(Path(args.module))
+        module = _load_module(Path(args.module), v.n)
     else:
         module = detect(to_signed(v, args.sigma), DetectConfig(sigma=args.sigma, max_seeds=args.max_seeds))
     stats = network_stats(v, module)
-    _write_report(stats.as_dict(), Path(args.out), args.format)
+    _write_report(asdict(stats), Path(args.out), args.format)
     print(
         f"stats: n={v.n} xi_plus={stats.xi_plus:.4f} xi_minus={stats.xi_minus:.6f} "
         f"lscbm_size={stats.lscbm_size} varsigma={stats.varsigma:.4f} -> {args.out}"
@@ -184,7 +188,7 @@ def _cmd_sim_accuracy(args: argparse.Namespace) -> int:
         max_seeds=args.max_seeds,
         workers=args.threads,
     )
-    _write_report(report.as_dict(), Path(args.out), args.format)
+    _write_report(asdict(report), Path(args.out), args.format)
     print(
         f"sim-accuracy: n={args.n} n_a={args.n_a} n_b={args.n_b} "
         f"trials={args.trials} accuracy={report.accuracy:.4f} "
@@ -219,7 +223,7 @@ def _cmd_sim_scaling(args: argparse.Namespace) -> int:
         max_seeds=args.max_seeds,
         workers=args.threads,
     )
-    payload = report.as_dict() if args.format == "json" else [r.as_dict() for r in report.rows]
+    payload = asdict(report) if args.format == "json" else [asdict(r) for r in report.rows]
     _write_report(payload, Path(args.out), args.format)
     print(
         f"sim-scaling: regime={args.regime} grid={grid[0]}..{grid[-1]} "

@@ -82,16 +82,6 @@ class NetworkStats:
     lscbm_size: int
     varsigma: float
 
-    def as_dict(self) -> dict:
-        return {
-            "xi_plus": self.xi_plus,
-            "xi_minus": self.xi_minus,
-            "mu_plus": self.mu_plus,
-            "mu_minus": self.mu_minus,
-            "lscbm_size": self.lscbm_size,
-            "varsigma": self.varsigma,
-        }
-
 
 def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     """Pearson correlation matrix of the return rows.
@@ -283,15 +273,6 @@ def validate(
     )
 
 
-def threshold_network(corr: CorrMatrix, rho: float) -> np.ndarray:
-    """Classic binary network: edge iff |C_ij| > rho.  Baseline only."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    adj = (np.abs(corr.values) > rho).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    return adj
-
-
 def network_stats(v: ValidatedCorrMatrix, module: "Module") -> NetworkStats:
     """Sign proportions and means over off-diagonal entries, plus coverage.
 
@@ -360,7 +341,12 @@ def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
 
 
 def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
-    """Read a matrix previously written by :func:`save_validated`."""
+    """Read a matrix previously written by :func:`save_validated`.
+
+    Raises ValueError on a malformed row, an index pair outside 0 <= i < j < n,
+    a weight that is not a finite value in [-1, 1], a pair listed twice, or a
+    ``tickers`` list whose length is not n.
+    """
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE
     edge_path = in_dir / EDGE_FILE
@@ -368,7 +354,10 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
         raise ValueError(f"{in_dir} does not contain {EDGE_FILE} and {META_FILE}")
     meta = json.loads(meta_path.read_text())
     n = int(meta["n"])
-    values = np.zeros((n, n), dtype=float)
+    tickers = meta.get("tickers")
+    if tickers is not None and len(tickers) != n:
+        raise ValueError(f"{meta_path}: {len(tickers)} tickers for n={n}")
+    values = np.full((n, n), np.nan)  # NaN marks a pair not yet listed
     with edge_path.open() as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -380,9 +369,13 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
             if not 0 <= i < j < n:
                 raise ValueError(f"{edge_path}:{line_no}: bad index pair ({i}, {j})")
+            if not abs(w) <= 1.0:  # also false for NaN
+                raise ValueError(f"{edge_path}:{line_no}: weight {w!r} is not in [-1, 1]")
+            if not math.isnan(values[i, j]):
+                raise ValueError(f"{edge_path}:{line_no}: pair ({i}, {j}) listed twice")
             values[i, j] = values[j, i] = w
+    np.nan_to_num(values, copy=False, nan=0.0)
     np.fill_diagonal(values, 1.0)
-    tickers = meta.get("tickers")
     return ValidatedCorrMatrix(
         values=values,
         t_len=meta.get("t_len"),

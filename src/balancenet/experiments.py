@@ -41,18 +41,6 @@ class AccuracyReport:
     accuracy: float
     mean_runtime_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "mean_runtime_s": self.mean_runtime_s,
-        }
-
 
 @dataclass(frozen=True)
 class ScalingRow:
@@ -65,16 +53,6 @@ class ScalingRow:
     normalized_ratio: float
     all_positive_fraction: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_size": self.mean_size,
-            "prediction": self.prediction,
-            "mean_ratio": self.mean_ratio,
-            "normalized_ratio": self.normalized_ratio,
-            "all_positive_fraction": self.all_positive_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -86,16 +64,6 @@ class ScalingReport:
     seed: int
     rows: tuple[ScalingRow, ...]
     lambda_value: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "params": self.params,
-            "trials": self.trials,
-            "seed": self.seed,
-            "lambda_value": self.lambda_value,
-            "rows": [row.as_dict() for row in self.rows],
-        }
 
 
 @dataclass(frozen=True)
@@ -110,17 +78,6 @@ class NonemptyReport:
     method: str
     fraction: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha_edge": self.alpha_edge,
-            "beta_edge": self.beta_edge,
-            "trials": self.trials,
-            "seed": self.seed,
-            "method": self.method,
-            "fraction": self.fraction,
-        }
-
 
 @dataclass(frozen=True)
 class MultiplicityReport:
@@ -131,15 +88,6 @@ class MultiplicityReport:
     trials: int
     seed: int
     rows: tuple[dict, ...] = field(default=())
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha_edge": self.alpha_edge,
-            "beta_edge": self.beta_edge,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": list(self.rows),
-        }
 
 
 def scaling_constant(alpha_edge: float, beta_edge: float) -> float:

@@ -8,10 +8,13 @@ once, admitting each node whose signs align uniformly with one faction and
 against the other.  The largest module over all seeds wins; ties keep the
 earlier seed.
 
-Pruning removes, repeatedly, the lowest-index member that still violates its
-faction condition.  Because removals never create new violations, that
-fixed point equals a single ascending pass with live-updated violation
-counts, which is how it is implemented.
+Pruning removes, repeatedly, the lowest-index member with a non-(+1) tie to
+the rest of its living faction.  A member whose ties to all later members
+are +1 is never removed: an earlier member with a bad tie to it violates
+too and goes first.  A member with a bad tie to a later member always is:
+that later member cannot go while it lives.  So the survivors are exactly
+the members with only +1 ties to every later member, which is the one
+predicate the intra-faction step computes, over packed +1 adjacency rows.
 """
 
 from __future__ import annotations
@@ -54,100 +57,31 @@ def _as_index_array(nodes: Iterable[int]) -> np.ndarray:
     return np.asarray(sorted(int(v) for v in nodes), dtype=np.intp)
 
 
+def _positive_rows(signs: np.ndarray) -> np.ndarray:
+    """+1 adjacency as packed bit rows: node v is bit v % 8 of byte v // 8."""
+    return np.packbits(signs == 1, axis=1, bitorder="little")
+
+
 def _intra_prune(
-    members: np.ndarray,
-    signs: np.ndarray,
-    bad_pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    members: np.ndarray, signs: np.ndarray, pos_bits: np.ndarray
 ) -> np.ndarray:
-    """Ascending removal of members with a non-(+1) tie to the living faction.
+    """Keep the members whose ties to every later member are +1.
 
-    Removing the lowest-index violator and rescanning is equivalent to one
-    ascending pass in which a member survives iff it has only +1 ties to the
-    members after it (those are all still alive when it is visited) and to
-    the members already kept.  Three strategies implement that same pass;
-    they are chosen on density and must agree exactly.
+    ``members`` must be sorted.  A survivor must be +1 to its successor, so
+    only those members (and the last one) are tested.  For a candidate u the
+    faction bits outside u's +1 row include u itself (the diagonal is 0), and
+    u survives iff it is the highest of them.
     """
-    k = members.size
-    if k < 2:
+    if members.size < 2:
         return members
-    if bad_pairs is not None:
-        return _intra_prune_sparse(members, signs.shape[0], bad_pairs)
     next_ok = signs[members[:-1], members[1:]] == 1
-    if int(next_ok.sum()) <= max(8, k >> 3):
-        return _intra_prune_probe(members, signs, next_ok)
-    return _intra_prune_dense(members, signs)
-
-
-def _intra_prune_dense(members: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Submatrix strategy: vectorized suffix counts, incremental keep counts."""
-    k = members.size
-    bad_tie = signs[members][:, members] != 1
-    np.fill_diagonal(bad_tie, False)
-    positions = np.arange(k)
-    upper = positions[None, :] > positions[:, None]
-    suffix_bad = (bad_tie & upper).sum(axis=1)
-    kept_bad = np.zeros(k, dtype=np.int32)
-    kept = np.zeros(k, dtype=bool)
-    for pos in range(k):
-        if suffix_bad[pos] == 0 and kept_bad[pos] == 0:
-            kept[pos] = True
-            kept_bad += bad_tie[pos]
-    return members[kept]
-
-
-def _intra_prune_probe(
-    members: np.ndarray, signs: np.ndarray, next_ok: np.ndarray
-) -> np.ndarray:
-    """Probe strategy for factions whose +1 ties are rare.
-
-    A suffix-clean member must be +1 to its immediate successor, so only
-    positions passing that probe get the full suffix check; the keep scan
-    then runs over the handful of survivors.
-    """
-    k = members.size
-    kept: list[int] = []
-    for pos in np.flatnonzero(next_ok).tolist() + [k - 1]:
-        u = members[pos]
-        if pos < k - 1 and not (signs[u, members[pos + 1 :]] == 1).all():
-            continue
-        if all(signs[u, v] == 1 for v in kept):
-            kept.append(int(u))
-    return np.asarray(kept, dtype=members.dtype)
-
-
-def _intra_prune_sparse(
-    members: np.ndarray, n: int, bad_pairs: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Sparse strategy over a precomputed list of all non-(+1) ordered pairs.
-
-    Useful when almost every tie in the graph is +1: the per-member suffix
-    and keep conditions reduce to a few lookups in the pair list.
-    """
-    k = members.size
-    src, dst = bad_pairs
-    pos_of = np.full(n, -1, dtype=np.intp)
-    pos_of[members] = np.arange(k)
-    ps = pos_of[src]
-    pd = pos_of[dst]
-    sel = (ps >= 0) & (pd >= 0)
-    ps = ps[sel]
-    pd = pd[sel]
-
-    suffix_dirty = np.zeros(k, dtype=bool)
-    later = pd > ps
-    suffix_dirty[ps[later]] = True
-
-    # remaining pairs point backwards; group them by source position
-    # (ps is non-decreasing because both src and members are sorted)
-    eps = ps[~later]
-    epd = pd[~later]
-    bounds = np.searchsorted(eps, np.arange(k + 1))
-    kept = np.zeros(k, dtype=bool)
-    for pos in np.flatnonzero(~suffix_dirty):
-        lo, hi = bounds[pos], bounds[pos + 1]
-        if lo == hi or not kept[epd[lo:hi]].any():
-            kept[pos] = True
-    return members[kept]
+    cand = np.append(members[:-1][next_ok], members[-1])
+    in_faction = np.zeros(signs.shape[0], dtype=bool)
+    in_faction[members] = True
+    bad = np.packbits(in_faction, bitorder="little") & ~pos_bits[cand]
+    top = bad.shape[1] - 1 - np.argmax(bad[:, ::-1] != 0, axis=1)
+    top_byte = bad[np.arange(cand.size), top]
+    return cand[(top == cand >> 3) & (top_byte >> (cand & 7) == 1)]
 
 
 def _cross_prune(
@@ -172,30 +106,11 @@ def _cross_prune(
 
 
 def _prune(
-    a: np.ndarray,
-    b: np.ndarray,
-    signs: np.ndarray,
-    bad_pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray, b: np.ndarray, signs: np.ndarray, pos_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    a = _intra_prune(a, signs, bad_pairs)
-    b = _intra_prune(b, signs, bad_pairs)
+    a = _intra_prune(a, signs, pos_bits)
+    b = _intra_prune(b, signs, pos_bits)
     return _cross_prune(a, b, signs)
-
-
-def _collect_bad_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """All ordered off-diagonal pairs whose tie is not +1, if few enough.
-
-    Worth materializing only for graphs dominated by +1 ties; returns None
-    otherwise and callers fall back to the other pruning strategies.
-    """
-    n = signs.shape[0]
-    ones = int((signs == 1).sum())
-    bad = n * (n - 1) - ones
-    if bad > (n * n) >> 3:
-        return None
-    src, dst = np.nonzero(signs != 1)
-    off = src != dst
-    return src[off], dst[off]
 
 
 def prune_factions(
@@ -211,7 +126,7 @@ def prune_factions(
     b_idx = _as_index_array(b)
     if np.intersect1d(a_idx, b_idx).size:
         raise ValueError("factions must be disjoint")
-    a_idx, b_idx = _prune(a_idx, b_idx, g.signs)
+    a_idx, b_idx = _prune(a_idx, b_idx, g.signs, _positive_rows(g.signs))
     return tuple(int(v) for v in a_idx), tuple(int(v) for v in b_idx)
 
 
@@ -231,7 +146,7 @@ def expand(
     signs = g.signs
     a_list = sorted(int(v) for v in a)
     b_list = sorted(int(v) for v in b)
-    cand = np.asarray(sorted(set(int(v) for v in candidates)), dtype=np.intp)
+    cand = np.unique(np.asarray(candidates, dtype=np.intp))
     if cand.size == 0:
         return tuple(a_list), tuple(b_list)
 
@@ -271,7 +186,7 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     n = g.n
     impacts = node_impacts(g)
     order = np.argsort(-impacts, kind="stable")
-    bad_pairs = _collect_bad_pairs(signs)
+    pos_bits = _positive_rows(signs)
 
     best_size = 0
     best_a: tuple[int, ...] = ()
@@ -284,7 +199,7 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         a0 = np.flatnonzero(row == 1)
         a0 = np.sort(np.append(a0, seed))
         b0 = np.flatnonzero(row == -1)
-        a_idx, b_idx = _prune(a0, b0, signs, bad_pairs)
+        a_idx, b_idx = _prune(a0, b0, signs, pos_bits)
 
         module = np.concatenate([a_idx, b_idx])
         module.sort()

@@ -187,3 +187,25 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--net", "x"])  # missing --out
     assert exc.value.code == 2
+
+
+def test_bad_edge_file_exit_code(tmp_path, capsys):
+    net = tmp_path / "net"
+    main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
+    with (net / "edges.tsv").open("a") as fh:
+        fh.write("0\t1\tnan\n")
+    code = main(["detect", "--net", str(net), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_INPUT
+    assert "not in [-1, 1]" in capsys.readouterr().err
+
+
+def test_stats_module_out_of_range_exit_code(tmp_path, capsys):
+    csv = write_price_csv(tmp_path / "prices.csv")
+    net = tmp_path / "net"
+    main(["build-net", "--in", str(csv), "--out", str(net)])
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps({"faction_a": [0, 1, 4], "faction_b": [], "sigma": 0.7}))
+    code = main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(tmp_path / "s.json")])
+    assert code == EXIT_INPUT
+    assert "outside 0..3" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()

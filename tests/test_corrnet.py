@@ -1,5 +1,6 @@
 """Tests for the correlation matrix and the significance filter."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from balancenet.corrnet import (
     student_t_cdf,
     t_critical,
     t_statistic,
-    threshold_network,
     validate,
 )
 from balancenet.signedgraph import Module
@@ -196,27 +196,6 @@ def test_perfect_correlation_always_significant():
     assert v.values[0, 1] == 1.0
 
 
-# ---------------------------------------------------------------- threshold baseline
-
-
-def test_threshold_network_examples():
-    values = np.eye(4)
-    values[0, 1] = values[1, 0] = 0.85
-    values[2, 3] = values[3, 2] = 0.55
-    values[0, 2] = values[2, 0] = -0.7
-    adj = threshold_network(corr_from(values), rho=0.5)
-    assert adj[0, 1] == 1 and adj[2, 3] == 1
-    assert adj[0, 2] == 1  # sign discarded
-    assert not np.diag(adj).any()
-    assert not threshold_network(corr_from(values * 0.9), rho=0.999)[~np.eye(4, dtype=bool)].any()
-
-
-@pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5])
-def test_threshold_network_rho_range(rho):
-    with pytest.raises(ValueError):
-        threshold_network(corr_from(np.eye(3)), rho)
-
-
 # ---------------------------------------------------------------- summary stats
 
 
@@ -280,3 +259,30 @@ def test_save_load_round_trip(tmp_path):
 def test_load_validated_missing_files(tmp_path):
     with pytest.raises(ValueError):
         load_validated(tmp_path / "absent")
+
+
+def write_net(path, edge_lines, n=3, tickers=None):
+    path.mkdir()
+    (path / "edges.tsv").write_text("".join(line + "\n" for line in edge_lines))
+    meta = {"n": n, "t_len": 30, "alpha_level": 0.05, "tickers": tickers}
+    (path / "meta.json").write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1.5", "-1.0000001"])
+def test_load_validated_rejects_bad_weight(tmp_path, weight):
+    net = write_net(tmp_path / "net", ["0\t1\t0.5", f"1\t2\t{weight}"])
+    with pytest.raises(ValueError, match=r"edges.tsv:2: weight .* not in \[-1, 1\]"):
+        load_validated(net)
+
+
+def test_load_validated_rejects_duplicate_pair(tmp_path):
+    net = write_net(tmp_path / "net", ["0\t1\t0.5", "1\t2\t0.25", "0\t1\t-0.5"])
+    with pytest.raises(ValueError, match=r"edges.tsv:3: pair \(0, 1\) listed twice"):
+        load_validated(net)
+
+
+def test_load_validated_rejects_ticker_count(tmp_path):
+    net = write_net(tmp_path / "net", ["0\t1\t0.5"], tickers=["A", "B"])
+    with pytest.raises(ValueError, match="2 tickers for n=3"):
+        load_validated(net)

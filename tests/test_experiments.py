@@ -1,6 +1,7 @@
 """Tests for the simulation harness."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_run_accuracy_small_planted():
     report = run_accuracy(120, 12, 24, trials=5, seed=1)
     assert report.accuracy == 1.0
     assert report.mean_runtime_s > 0.0
-    assert report.as_dict()["n_a"] == 12
+    assert asdict(report)["n_a"] == 12
 
 
 def test_run_accuracy_empty_truth():

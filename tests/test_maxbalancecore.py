@@ -98,6 +98,37 @@ def test_prune_reaches_fixed_point():
         assert prune_factions(a, b, g) == (a, b)
 
 
+def reference_prune(a, b, signs):
+    """The literal removal rule, one member at a time."""
+
+    def intra(faction):
+        alive = sorted(faction)
+        while True:
+            bad = [u for u in alive if any(signs[u, v] != 1 for v in alive if v != u)]
+            if not bad:
+                return alive
+            alive.remove(bad[0])
+
+    a, b = intra(a), intra(b)
+    if a and b:
+        a = [u for u in a if all(signs[u, v] == -1 for v in b)]
+        if a:
+            b = [v for v in b if all(signs[u, v] == -1 for u in a)]
+    return tuple(a), tuple(b)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (1.0, 0.0)])
+def test_prune_matches_literal_definition(alpha, beta):
+    rng = np.random.default_rng(int(alpha * 100) * 1000 + int(beta * 100))
+    for trial in range(150):
+        n = int(rng.integers(2, 40))
+        g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=trial))
+        nodes = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        split = int(rng.integers(0, nodes.size + 1))
+        a, b = nodes[:split].tolist(), nodes[split:].tolist()
+        assert prune_factions(a, b, g) == reference_prune(a, b, g.signs)
+
+
 # ---------------------------------------------------------------- expansion
 
 
