@@ -17,9 +17,11 @@ import json
 import math
 import os
 import tempfile
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
@@ -301,11 +303,17 @@ def network_stats(v: ValidatedCorrMatrix, module: "Module") -> NetworkStats:
     )
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """Open a temp file beside ``path`` for writing; rename it over ``path`` on success.
+
+    Readers see either the old file or the complete new one.  On any error
+    the temp file is removed and ``path`` is left as it was.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -313,24 +321,34 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
     """Write a sparse TSV edge list plus a JSON sidecar.
 
-    Edge rows are ``i<TAB>j<TAB>weight`` with i < j and zero-based indices;
-    weights use repr so they round-trip bit-exactly.  The sidecar holds
-    {n, t_len, alpha_level, tickers}.
+    Edge rows are ``i<TAB>j<TAB>weight`` with i < j and zero-based indices,
+    in ascending (i, j) order; weights use repr so they round-trip
+    bit-exactly.  The rows are written one node row at a time, so only one
+    row's text is held in memory.  The sidecar holds
+    {n, t_len, alpha_level, tickers}.  Both files are replaced atomically.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = v.n
-    iu, ju = np.triu_indices(n, k=1)
-    weights = v.values[iu, ju]
-    nz = weights != 0.0
-    lines = [
-        f"{i}\t{j}\t{w!r}"
-        for i, j, w in zip(iu[nz].tolist(), ju[nz].tolist(), weights[nz].tolist())
-    ]
-    _atomic_write(out_dir / EDGE_FILE, "\n".join(lines) + ("\n" if lines else ""))
+    with _atomic_open(out_dir / EDGE_FILE) as fh:
+        for i in range(n - 1):
+            row = v.values[i, i + 1 :]
+            cols = np.flatnonzero(row)
+            if cols.size:
+                fh.write(
+                    "".join(
+                        f"{i}\t{j}\t{w!r}\n"
+                        for j, w in zip((cols + (i + 1)).tolist(), row[cols].tolist())
+                    )
+                )
     meta = {
         "n": n,
         "t_len": v.t_len,
@@ -340,45 +358,98 @@ def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
     _atomic_write(out_dir / META_FILE, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str] | None]:
+    """Parse and check the sidecar: ``(n, t_len, alpha_level, tickers)``."""
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
+    n = meta.get("n")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"{meta_path}: n must be a non-negative integer, got {n!r}")
+    t_len = meta.get("t_len")
+    if t_len is not None and not _is_int(t_len):
+        raise ValueError(f"{meta_path}: t_len must be null or an integer, got {t_len!r}")
+    alpha_level = meta.get("alpha_level")
+    if alpha_level is not None and not _is_number(alpha_level):
+        raise ValueError(f"{meta_path}: alpha_level must be null or a number, got {alpha_level!r}")
+    tickers = meta.get("tickers")
+    if tickers is not None:
+        if not isinstance(tickers, list) or not all(isinstance(t, str) for t in tickers):
+            raise ValueError(f"{meta_path}: tickers must be null or a list of strings")
+        if len(tickers) != n:
+            raise ValueError(f"{meta_path}: {len(tickers)} tickers for n={n}")
+    return n, t_len, alpha_level, tickers
+
+
+_EDGE_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+
+
 def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     """Read a matrix previously written by :func:`save_validated`.
 
-    Raises ValueError on a malformed row, an index pair outside 0 <= i < j < n,
-    a weight that is not a finite value in [-1, 1], a pair listed twice, or a
-    ``tickers`` list whose length is not n.
+    The edge file is parsed in one bulk pass by ``np.loadtxt``; empty lines
+    are skipped and CRLF line ends are accepted.  Each check then runs once
+    over whole columns and reports the first row that fails it as
+    ``edges.tsv:<k>:``, where k counts edge rows from 1.  That is the line
+    number whenever the file has no blank lines, which
+    :func:`save_validated` never writes.
+
+    Raises ValueError on a row that does not hold two integers and a number,
+    an index pair outside 0 <= i < j < n, a weight that is not a finite value
+    in [-1, 1], a pair listed twice, or a ``meta.json`` that is not an object
+    holding a non-negative integer ``n``, an integer or null ``t_len``, a
+    number or null ``alpha_level``, and null or n strings as ``tickers``.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE
     edge_path = in_dir / EDGE_FILE
     if not meta_path.is_file() or not edge_path.is_file():
         raise ValueError(f"{in_dir} does not contain {EDGE_FILE} and {META_FILE}")
-    meta = json.loads(meta_path.read_text())
-    n = int(meta["n"])
-    tickers = meta.get("tickers")
-    if tickers is not None and len(tickers) != n:
-        raise ValueError(f"{meta_path}: {len(tickers)} tickers for n={n}")
-    values = np.full((n, n), np.nan)  # NaN marks a pair not yet listed
-    with edge_path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{edge_path}:{line_no}: expected 3 tab-separated fields")
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            if not 0 <= i < j < n:
-                raise ValueError(f"{edge_path}:{line_no}: bad index pair ({i}, {j})")
-            if not abs(w) <= 1.0:  # also false for NaN
-                raise ValueError(f"{edge_path}:{line_no}: weight {w!r} is not in [-1, 1]")
-            if not math.isnan(values[i, j]):
-                raise ValueError(f"{edge_path}:{line_no}: pair ({i}, {j}) listed twice")
-            values[i, j] = values[j, i] = w
-    np.nan_to_num(values, copy=False, nan=0.0)
+    n, t_len, alpha_level, tickers = _read_meta(meta_path)
+    with warnings.catch_warnings():
+        # a network with no edges is valid
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(
+                edge_path, delimiter="\t", comments=None, ndmin=1, dtype=_EDGE_DTYPE
+            )
+        except ValueError as exc:
+            raise ValueError(f"{edge_path}: {exc}") from exc
+    i, j, w = rows["i"], rows["j"], rows["w"]
+
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{edge_path}:{k + 1}: bad index pair ({i[k]}, {j[k]})")
+    bad = np.flatnonzero(~(np.abs(w) <= 1.0))  # also true for NaN
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{edge_path}:{k + 1}: weight {float(w[k])!r} is not in [-1, 1]")
+    # A stable sort keeps each pair's rows in file order, so every row after
+    # the first of its run repeats an earlier row.
+    keys = i * n + j
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeats = order[1:][keys[1:] == keys[:-1]]
+    if repeats.size:
+        k = repeats.min()
+        raise ValueError(f"{edge_path}:{k + 1}: pair ({i[k]}, {j[k]}) listed twice")
+
+    values = np.zeros((n, n))
+    values[i, j] = w
+    values[j, i] = w
     np.fill_diagonal(values, 1.0)
     return ValidatedCorrMatrix(
         values=values,
-        t_len=meta.get("t_len"),
-        alpha_level=meta.get("alpha_level"),
+        t_len=t_len,
+        alpha_level=alpha_level,
         tickers=tuple(tickers) if tickers is not None else None,
     )

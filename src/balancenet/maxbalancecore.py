@@ -146,7 +146,10 @@ def expand(
     signs = g.signs
     a_list = sorted(int(v) for v in a)
     b_list = sorted(int(v) for v in b)
-    cand = np.unique(np.asarray(candidates, dtype=np.intp))
+    cand = np.sort(np.asarray(candidates, dtype=np.intp))
+    first = np.ones(cand.size, dtype=bool)
+    first[1:] = cand[1:] != cand[:-1]
+    cand = cand[first]
     if cand.size == 0:
         return tuple(a_list), tuple(b_list)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.corrnet import ValidatedCorrMatrix
+from balancenet.corrnet import ValidatedCorrMatrix, _is_int, _is_number
 
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
@@ -101,10 +101,24 @@ class Module:
 
     @classmethod
     def from_report(cls, report: dict) -> "Module":
+        """Rebuild a module from :meth:`to_report` output, e.g. parsed JSON.
+
+        Raises ValueError unless both factions are lists of integers and
+        ``sigma`` is null or a number.
+        """
+        if not isinstance(report, dict):
+            raise ValueError("module report must be a JSON object")
+        for key in ("faction_a", "faction_b"):
+            nodes = report.get(key)
+            if not isinstance(nodes, list) or not all(_is_int(v) for v in nodes):
+                raise ValueError(f"module report: {key} must be a list of integers")
+        sigma = report.get("sigma")
+        if sigma is not None and not _is_number(sigma):
+            raise ValueError(f"module report: sigma must be null or a number, got {sigma!r}")
         return cls(
             faction_a=tuple(report["faction_a"]),
             faction_b=tuple(report["faction_b"]),
-            sigma=report.get("sigma"),
+            sigma=sigma,
         )
 
 

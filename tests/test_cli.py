@@ -209,3 +209,26 @@ def test_stats_module_out_of_range_exit_code(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert "outside 0..3" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_bad_meta_exit_code(tmp_path, capsys):
+    net = tmp_path / "net"
+    main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
+    meta = json.loads((net / "meta.json").read_text())
+    del meta["n"]
+    (net / "meta.json").write_text(json.dumps(meta))
+    code = main(["detect", "--net", str(net), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_INPUT
+    assert "n must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_stats_module_bad_entries_exit_code(tmp_path, capsys):
+    csv = write_price_csv(tmp_path / "prices.csv")
+    net = tmp_path / "net"
+    main(["build-net", "--in", str(csv), "--out", str(net)])
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps({"faction_a": ["x"], "faction_b": [], "sigma": 0.7}))
+    code = main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(tmp_path / "s.json")])
+    assert code == EXIT_INPUT
+    assert "faction_a must be a list of integers" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,4 +286,99 @@ def test_load_validated_rejects_duplicate_pair(tmp_path):
 def test_load_validated_rejects_ticker_count(tmp_path):
     net = write_net(tmp_path / "net", ["0\t1\t0.5"], tickers=["A", "B"])
     with pytest.raises(ValueError, match="2 tickers for n=3"):
+        load_validated(net)
+
+
+def test_load_validated_rejects_bad_meta_shape(tmp_path):
+    net = write_net(tmp_path / "net", ["0\t1\t0.5"])
+    (net / "meta.json").write_text(json.dumps([3, 30, 0.05]))
+    with pytest.raises(ValueError, match="meta.json: expected a JSON object"):
+        load_validated(net)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", None, "n must be a non-negative integer"),
+        ("n", 2.7, "n must be a non-negative integer"),
+        ("n", True, "n must be a non-negative integer"),
+        ("n", -1, "n must be a non-negative integer"),
+        ("n", "3", "n must be a non-negative integer"),
+        ("tickers", "ABC", "tickers must be null or a list of strings"),
+        ("tickers", ["A", 2, "C"], "tickers must be null or a list of strings"),
+        ("t_len", "30", "t_len must be null or an integer"),
+        ("t_len", 29.5, "t_len must be null or an integer"),
+        ("t_len", True, "t_len must be null or an integer"),
+        ("alpha_level", "0.05", "alpha_level must be null or a number"),
+        ("alpha_level", False, "alpha_level must be null or a number"),
+    ],
+)
+def test_load_validated_rejects_bad_meta_field(tmp_path, field, value, message):
+    net = write_net(tmp_path / "net", ["0\t1\t0.5"])
+    meta = {"n": 3, "t_len": 30, "alpha_level": 0.05, "tickers": None, field: value}
+    if value is None:
+        del meta[field]
+    (net / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"meta.json: {message}"):
+        load_validated(net)
+
+
+def special_weight_matrix(n=320):
+    """A validated matrix whose weights stress repr round-tripping."""
+    rng = np.random.default_rng(8)
+    values = rng.uniform(-1.0, 1.0, size=(n, n))
+    values[rng.random((n, n)) < 0.5] = 0.0
+    specials = [1.0, -1.0, 5e-324, -5e-324, 1e-05, -1e-05, 0.12345678901234568, -0.9876543210987654]
+    for k, w in enumerate(specials):
+        values[k, n - 1 - k] = w
+    values = np.triu(values, k=1)
+    values[7, :] = 0.0
+    values[:, 7] = 0.0  # node 7 has no edges
+    values = values + values.T
+    np.fill_diagonal(values, 1.0)
+    return ValidatedCorrMatrix(values=values, t_len=40, alpha_level=0.01, tickers=None)
+
+
+def test_save_matches_reference_writer_and_round_trips_bit_exactly(tmp_path):
+    v = special_weight_matrix()
+    save_validated(v, tmp_path / "net")
+    iu, ju = np.triu_indices(v.n, k=1)
+    kept = v.values[iu, ju] != 0.0
+    expected = "".join(
+        f"{i}\t{j}\t{w!r}\n"
+        for i, j, w in zip(iu[kept].tolist(), ju[kept].tolist(), v.values[iu, ju][kept].tolist())
+    )
+    assert (tmp_path / "net" / "edges.tsv").read_text() == expected
+    assert "\t5e-324\n" in expected and "\t1e-05\n" in expected
+    assert not any(line.startswith("7\t") or "\t7\t" in line for line in expected.splitlines())
+    back = load_validated(tmp_path / "net")
+    assert back.values.tobytes() == v.values.tobytes()
+    assert (back.t_len, back.alpha_level, back.tickers) == (40, 0.01, None)
+
+
+def test_load_validated_empty_edge_file_is_identity(tmp_path):
+    net = write_net(tmp_path / "net", [], n=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = load_validated(net)
+    assert np.array_equal(v.values, np.eye(4))
+
+
+def test_load_validated_accepts_blank_line_and_crlf(tmp_path):
+    net = write_net(tmp_path / "net", [])
+    (net / "edges.tsv").write_bytes(b"0\t1\t0.5\r\n\r\n1\t2\t-0.25\r\n")
+    v = load_validated(net)
+    assert v.values[0, 1] == v.values[1, 0] == 0.5
+    assert v.values[1, 2] == v.values[2, 1] == -0.25
+    assert v.values[0, 2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0\t1", "0\t1\t0.5\t7", "1.0\t2\t0.5", "-1\t2\t0.5", "0\t3\t0.5", "1\t1\t0.5"],
+    ids=["2-fields", "4-fields", "float-index", "negative-index", "j-ge-n", "i-eq-j"],
+)
+def test_load_validated_rejects_bad_row(tmp_path, row):
+    net = write_net(tmp_path / "net", ["0\t2\t0.5", row])
+    with pytest.raises(ValueError, match="edges.tsv"):
         load_validated(net)

@@ -258,3 +258,20 @@ def test_module_report_round_trip():
         "all_positive": False,
     }
     assert Module.from_report(report) == m
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"faction_a": ["x"], "faction_b": [], "sigma": 0.7}, "faction_a must be a list of integers"),
+        ({"faction_a": [1.5, 2, 3], "faction_b": [], "sigma": 0.7}, "faction_a must be a list of integers"),
+        ({"faction_a": [0, True], "faction_b": [], "sigma": 0.7}, "faction_a must be a list of integers"),
+        ({"faction_a": [0, 1], "sigma": 0.7}, "faction_b must be a list of integers"),
+        ({"faction_a": [0, 1], "faction_b": "2", "sigma": 0.7}, "faction_b must be a list of integers"),
+        ({"faction_a": [0, 1], "faction_b": [2], "sigma": "0.7"}, "sigma must be null or a number"),
+        ([[0, 1], [2]], "must be a JSON object"),
+    ],
+)
+def test_module_from_report_rejects_bad_report(report, message):
+    with pytest.raises(ValueError, match=message):
+        Module.from_report(report)
