@@ -417,6 +417,8 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     with warnings.catch_warnings():
         # a network with no edges is valid
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy releases that still parse "1.0" as an integer index only warn
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
             rows = np.loadtxt(
                 edge_path, delimiter="\t", comments=None, ndmin=1, dtype=_EDGE_DTYPE

@@ -146,10 +146,7 @@ def expand(
     signs = g.signs
     a_list = sorted(int(v) for v in a)
     b_list = sorted(int(v) for v in b)
-    cand = np.sort(np.asarray(candidates, dtype=np.intp))
-    first = np.ones(cand.size, dtype=bool)
-    first[1:] = cand[1:] != cand[:-1]
-    cand = cand[first]
+    cand = np.flatnonzero(np.bincount(np.asarray(candidates, dtype=np.intp)))
     if cand.size == 0:
         return tuple(a_list), tuple(b_list)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.corrnet import ValidatedCorrMatrix, _is_int, _is_number
+from balancenet.corrnet import ValidatedCorrMatrix
 
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
@@ -110,10 +110,12 @@ class Module:
             raise ValueError("module report must be a JSON object")
         for key in ("faction_a", "faction_b"):
             nodes = report.get(key)
-            if not isinstance(nodes, list) or not all(_is_int(v) for v in nodes):
+            if not isinstance(nodes, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in nodes
+            ):
                 raise ValueError(f"module report: {key} must be a list of integers")
         sigma = report.get("sigma")
-        if sigma is not None and not _is_number(sigma):
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float, type(None))):
             raise ValueError(f"module report: sigma must be null or a number, got {sigma!r}")
         return cls(
             faction_a=tuple(report["faction_a"]),

@@ -375,10 +375,29 @@ def test_load_validated_accepts_blank_line_and_crlf(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["0\t1", "0\t1\t0.5\t7", "1.0\t2\t0.5", "-1\t2\t0.5", "0\t3\t0.5", "1\t1\t0.5"],
-    ids=["2-fields", "4-fields", "float-index", "negative-index", "j-ge-n", "i-eq-j"],
+    [
+        "0\t1",
+        "0\t1\t0.5\t7",
+        "1\t2\t0.5\t",
+        "1.0\t2\t0.5",
+        "-1\t2\t0.5",
+        "0\t3\t0.5",
+        "1\t1\t0.5",
+    ],
+    ids=["2-fields", "4-fields", "trailing-tab", "float-index", "negative-index", "j-ge-n", "i-eq-j"],
 )
 def test_load_validated_rejects_bad_row(tmp_path, row):
     net = write_net(tmp_path / "net", ["0\t2\t0.5", row])
     with pytest.raises(ValueError, match="edges.tsv"):
         load_validated(net)
+
+
+@pytest.mark.parametrize("action", ["default", "ignore"])
+@pytest.mark.parametrize("index", ["1.0", "0.7", "1e0"])
+def test_load_validated_rejects_float_index_whatever_the_warning_filter(tmp_path, index, action):
+    # checks the behaviour of a plain run, not of the suite's warnings-as-errors setting
+    net = write_net(tmp_path / "net", ["0\t1\t0.5", f"{index}\t2\t0.5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match="edges.tsv"):
+            load_validated(net)
