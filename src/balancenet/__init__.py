@@ -41,7 +41,7 @@ from balancenet.randgen import (
     plant_lscbm,
     sample_signed,
 )
-from balancenet.oracle import EnumerationBudgetError, OracleResult, count_scbm, exact_lscbm, exact_scan
+from balancenet.oracle import EnumerationBudgetError, count_scbm, exact_lscbm
 from balancenet.experiments import (
     AccuracyReport,
     MultiplicityReport,
@@ -92,10 +92,8 @@ __all__ = [
     "derive_seed",
     "pair_uniform",
     "EnumerationBudgetError",
-    "OracleResult",
     "exact_lscbm",
     "count_scbm",
-    "exact_scan",
     "AccuracyReport",
     "ScalingRow",
     "ScalingReport",

@@ -262,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"balancenet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, seeded: bool = False, report: bool = True) -> None:
         p.add_argument("--out", required=True, help="output file or directory")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
+        if report:
+            p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--threads", type=int, default=1, help="worker bound; results are independent of it")
         if seeded:
             p.add_argument("--rng-seed", type=int, default=None, help="omit to draw and print one")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-net", help="prices CSV -> validated correlation network")
     p.add_argument("--in", dest="input", required=True, help="wide CSV of prices")
     p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL)
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(fn=_cmd_build_net)
 
     p = sub.add_parser("stats", help="network summary statistics")
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-edge", type=float, required=True)
     p.add_argument("--beta-edge", type=float, required=True)
-    add_common(p, seeded=True)
+    add_common(p, seeded=True, report=False)
     p.set_defaults(fn=_cmd_gen_random)
 
     p = sub.add_parser("plant", help="generate a planted-module benchmark instance")
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-a", type=int, required=True)
     p.add_argument("--n-b", type=int, required=True)
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    add_common(p, seeded=True)
+    add_common(p, seeded=True, report=False)
     p.set_defaults(fn=_cmd_plant)
 
     p = sub.add_parser("oracle", help="exact largest module by enumeration (n <= 22)")

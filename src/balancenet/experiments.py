@@ -2,8 +2,8 @@
 
 All runs are reproducible: each trial derives its own sub-seed from the
 master seed and the trial index, so results do not depend on scheduling or
-on the worker count.  Wall time is measured with a monotonic clock around
-the detection step only, excluding instance generation.
+on the worker count.  Only ``run_accuracy`` measures wall time: a monotonic
+clock around thresholding plus detection, excluding instance generation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect
-from balancenet.oracle import exact_lscbm
+from balancenet.oracle import MAX_ORACLE_NODES, count_scbm, exact_lscbm
 from balancenet.randgen import SignedModelParams, derive_seed, plant_lscbm, sample_signed
 from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, to_signed
 
@@ -285,13 +285,14 @@ def run_nonempty_check(
 ) -> NonemptyReport:
     """Fraction of sampled graphs holding a module of size >= 3.
 
-    Uses exact enumeration when the graph fits the oracle budget (n <= 22);
-    otherwise the detector provides a lower bound on existence.
+    Uses exact enumeration when the graph fits the oracle budget
+    (n <= MAX_ORACLE_NODES); otherwise the detector provides a lower bound
+    on existence.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if method == "auto":
-        method = "oracle" if n <= 22 else "detect"
+        method = "oracle" if n <= MAX_ORACLE_NODES else "detect"
     if method not in ("oracle", "detect"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -329,8 +330,6 @@ def run_multiplicity(
     number of modules of that size is >= 2; reports the frequency among
     nonempty trials per n.
     """
-    from balancenet.oracle import count_scbm
-
     rows = []
     for ni, n in enumerate(n_values):
         nonempty = 0

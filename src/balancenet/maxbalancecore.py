@@ -3,10 +3,12 @@
 For each of the highest-impact seed nodes the search partitions the seed's
 strong neighbors into a positive faction A (seed included) and a negative
 faction B, prunes both factions until every within-faction pair is +1 and
-every cross pair is -1, then sweeps the remaining strongly-tied candidates
-once, admitting each node whose signs align uniformly with one faction and
-against the other.  The largest module over all seeds wins; ties keep the
-earlier seed.
+every cross pair is -1, then sweeps the other nodes once, admitting each
+node whose signs align uniformly with one faction and against the other.
+That alignment test is the only admission test: members fail it on their
+zero diagonal and untied nodes on a zero tie, so the seed loop screens
+candidates by degree alone.  The largest module over all seeds wins; ties
+keep the earlier seed.
 
 Pruning removes, repeatedly, the lowest-index member with a non-(+1) tie to
 the rest of its living faction.  A member whose ties to all later members
@@ -31,11 +33,10 @@ DEFAULT_MAX_SEEDS = 100
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Detection parameters: strength threshold, seed budget, size floor."""
+    """Detection parameters: strength threshold and seed budget."""
 
     sigma: float = DEFAULT_SIGMA
     max_seeds: int = DEFAULT_MAX_SEEDS
-    min_size: int = MIN_MODULE_SIZE
 
     def __post_init__(self) -> None:
         # sigma in (0, 1] also guarantees that the candidate-strength test
@@ -44,8 +45,6 @@ class DetectConfig:
             raise ValueError("sigma must lie in (0, 1]")
         if self.max_seeds < 1:
             raise ValueError("max_seeds must be >= 1")
-        if self.min_size < MIN_MODULE_SIZE:
-            raise ValueError(f"min_size must be >= {MIN_MODULE_SIZE}")
 
 
 def node_impacts(g: SignedGraph) -> np.ndarray:
@@ -55,11 +54,6 @@ def node_impacts(g: SignedGraph) -> np.ndarray:
 
 def _as_index_array(nodes: Iterable[int]) -> np.ndarray:
     return np.asarray(sorted(int(v) for v in nodes), dtype=np.intp)
-
-
-def _positive_rows(signs: np.ndarray) -> np.ndarray:
-    """+1 adjacency as packed bit rows: node v is bit v % 8 of byte v // 8."""
-    return np.packbits(signs == 1, axis=1, bitorder="little")
 
 
 def _intra_prune(
@@ -126,7 +120,7 @@ def prune_factions(
     b_idx = _as_index_array(b)
     if np.intersect1d(a_idx, b_idx).size:
         raise ValueError("factions must be disjoint")
-    a_idx, b_idx = _prune(a_idx, b_idx, g.signs, _positive_rows(g.signs))
+    a_idx, b_idx = _prune(a_idx, b_idx, g.signs, g.bit_rows(1))
     return tuple(int(v) for v in a_idx), tuple(int(v) for v in b_idx)
 
 
@@ -141,7 +135,9 @@ def expand(
     A candidate joins A iff its sign is +1 to every current member of A and
     -1 to every current member of B; it joins B under the mirror condition.
     Factions grow during the sweep, so later candidates are checked against
-    earlier admissions too.  There is no second sweep.
+    earlier admissions too.  There is no second sweep.  Unless both factions
+    are empty, current members (zero diagonal) and nodes with a zero tie to
+    any member are never admitted, so callers need not filter them out.
     """
     signs = g.signs
     a_list = sorted(int(v) for v in a)
@@ -154,6 +150,8 @@ def expand(
     b_rows = signs[np.ix_(np.asarray(b_list, dtype=np.intp), cand)]
     ok_a = (a_rows == 1).all(axis=0) & (b_rows == -1).all(axis=0)
     ok_b = (a_rows == -1).all(axis=0) & (b_rows == 1).all(axis=0)
+    live = ok_a | ok_b  # the flags only fall, so no other candidate can join
+    cand, ok_a, ok_b = cand[live], ok_a[live], ok_b[live]
 
     for pos in range(cand.size):
         joins_a = bool(ok_a[pos])
@@ -176,22 +174,22 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     """Run the full seed loop and return the largest module found.
 
     Seeds are the top min(max_seeds, N) nodes by impact (ties broken by
-    ascending index); zero-impact seeds are skipped.  Candidates for
-    expansion must carry a nonzero sign to every current module member.
-    Returns the empty module when nothing of size >= min_size is found.
+    ascending index); zero-impact seeds are skipped.  Every node with at
+    least as many ties as the pruned module has members is offered to
+    :func:`expand`, whose alignment test rejects members and untied nodes.
+    Returns the empty module when nothing of size >= MIN_MODULE_SIZE is found.
     """
     if cfg is None:
         cfg = DetectConfig()
     signs = g.signs
-    n = g.n
     impacts = node_impacts(g)
     order = np.argsort(-impacts, kind="stable")
-    pos_bits = _positive_rows(signs)
+    pos_bits = g.bit_rows(1)
 
     best_size = 0
     best_a: tuple[int, ...] = ()
     best_b: tuple[int, ...] = ()
-    for rank in range(min(cfg.max_seeds, n)):
+    for rank in range(min(cfg.max_seeds, g.n)):
         seed = int(order[rank])
         if impacts[seed] == 0:
             continue
@@ -200,16 +198,8 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         a0 = np.sort(np.append(a0, seed))
         b0 = np.flatnonzero(row == -1)
         a_idx, b_idx = _prune(a0, b0, signs, pos_bits)
-
-        module = np.concatenate([a_idx, b_idx])
-        module.sort()
-        cand_mask = np.ones(n, dtype=bool)
-        cand_mask[module] = False
-        cand_mask &= impacts >= module.size  # necessary for nonzero ties to all
-        cand = np.flatnonzero(cand_mask)
-        if cand.size and module.size:
-            strong = (signs[np.ix_(cand, module)] != 0).all(axis=1)
-            cand = cand[strong]
+        # a joiner needs a nonzero tie to every member, so at least that many
+        cand = np.flatnonzero(impacts >= a_idx.size + b_idx.size)
         a_fin, b_fin = expand(a_idx, b_idx, g, cand)
 
         size = len(a_fin) + len(b_fin)
@@ -217,6 +207,6 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
             best_size = size
             best_a, best_b = a_fin, b_fin
 
-    if best_size < cfg.min_size:
+    if best_size < MIN_MODULE_SIZE:
         return Module.empty(cfg.sigma)
     return Module(best_a, best_b, cfg.sigma).canonical()

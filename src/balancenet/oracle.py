@@ -11,8 +11,6 @@ candidate count keeps dense instances (where modules are huge) tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from balancenet.signedgraph import MIN_MODULE_SIZE, Module, SignedGraph
 
 MAX_ORACLE_NODES = 22
@@ -20,14 +18,6 @@ MAX_ORACLE_NODES = 22
 
 class EnumerationBudgetError(ValueError):
     """Raised when a graph is too large for exact enumeration."""
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Exact best module plus on-demand counts of modules per size."""
-
-    best: Module
-    z_counts: dict[int, int] = field(default_factory=dict)
 
 
 def _check_budget(g: SignedGraph) -> None:
@@ -38,21 +28,10 @@ def _check_budget(g: SignedGraph) -> None:
 
 
 def _sign_masks(g: SignedGraph) -> tuple[list[int], list[int]]:
-    n = g.n
-    pos = [0] * n
-    neg = [0] * n
-    for i in range(n):
-        row = g.signs[i]
-        p = 0
-        m = 0
-        for j in range(n):
-            s = row[j]
-            if s == 1:
-                p |= 1 << j
-            elif s == -1:
-                m |= 1 << j
-        pos[i] = p
-        neg[i] = m
+    """Per-node +1 and -1 neighbour sets as Python ints: bit j is node j."""
+    pos, neg = (
+        [int.from_bytes(row.tobytes(), "little") for row in g.bit_rows(sign)] for sign in (1, -1)
+    )
     return pos, neg
 
 
@@ -146,19 +125,3 @@ def count_scbm(g: SignedGraph, s: int) -> int:
         grow(pos[v0] & above, neg[v0] & above, 1)
     return count
 
-
-def exact_scan(
-    g: SignedGraph,
-    sizes: tuple[int, ...] | list[int] | None = None,
-    sigma: float | None = None,
-) -> OracleResult:
-    """Exact best module plus counts for the requested sizes.
-
-    When ``sizes`` is omitted, only the best module's own size is counted
-    (and nothing at all when no module exists).
-    """
-    best = exact_lscbm(g, sigma)
-    if sizes is None:
-        sizes = [best.size] if best.size else []
-    z_counts = {int(s): count_scbm(g, int(s)) for s in sizes}
-    return OracleResult(best=best, z_counts=z_counts)

@@ -29,13 +29,17 @@ class SignedGraph:
 
     def __post_init__(self) -> None:
         signs = np.asarray(self.signs)
-        if signs.dtype != np.int8:
-            signs = signs.astype(np.int8)
-        object.__setattr__(self, "signs", signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
             raise ValueError("signs must be a square matrix")
-        if np.abs(signs).max(initial=0) > 1:
+        # checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0
+        if signs.size and not (signs.min() >= -1 and signs.max() <= 1):
             raise ValueError("sign entries must lie in {-1, 0, +1}")
+        if signs.dtype != np.int8:
+            cast = signs.astype(np.int8)
+            if not np.array_equal(cast, signs):
+                raise ValueError("sign entries must lie in {-1, 0, +1}")
+            signs = cast
+        object.__setattr__(self, "signs", signs)
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
         if not np.array_equal(signs, signs.T):
@@ -44,6 +48,10 @@ class SignedGraph:
     @property
     def n(self) -> int:
         return self.signs.shape[0]
+
+    def bit_rows(self, sign: int) -> np.ndarray:
+        """Rows of ``signs == sign`` packed into bytes: node v is bit v % 8 of byte v // 8."""
+        return np.packbits(self.signs == sign, axis=1, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,9 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--net", "x"])  # missing --out
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["build-net", "--in", "x", "--out", "y", "--format", "tsv"])  # writes no report
+    assert exc.value.code == 2
 
 
 def test_bad_edge_file_exit_code(tmp_path, capsys):

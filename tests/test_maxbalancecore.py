@@ -32,8 +32,6 @@ def test_detect_config_validation():
         DetectConfig(sigma=1.2)
     with pytest.raises(ValueError):
         DetectConfig(max_seeds=0)
-    with pytest.raises(ValueError):
-        DetectConfig(min_size=2)
 
 
 # ---------------------------------------------------------------- impacts

@@ -10,7 +10,6 @@ from balancenet.oracle import (
     MAX_ORACLE_NODES,
     count_scbm,
     exact_lscbm,
-    exact_scan,
 )
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
 from balancenet.signedgraph import SignedGraph, is_scbm, to_signed
@@ -144,14 +143,3 @@ def test_exact_size_monotone_under_edge_deletion():
         signs[drop[0], drop[1]] = signs[drop[1], drop[0]] = 0
         after = exact_lscbm(SignedGraph(signs=signs)).size
         assert after <= before
-
-
-def test_exact_scan_bundles_counts():
-    g = random_graph(1, n=8)
-    result = exact_scan(g, sizes=[3, 4])
-    assert set(result.z_counts) == {3, 4}
-    if result.best.size >= 3:
-        assert result.z_counts.get(result.best.size, count_scbm(g, result.best.size)) >= 1
-    default = exact_scan(g)
-    if default.best.size >= 3:
-        assert default.z_counts[default.best.size] >= 1

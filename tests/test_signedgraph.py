@@ -65,6 +65,17 @@ def test_signed_graph_validation():
         SignedGraph(signs=np.zeros((2, 3), dtype=np.int8))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [256, 255, 0.5, 1.7, np.int8(-128)],
+    ids=["wraps-to-0", "wraps-to-minus-1", "half", "one-point-seven", "int8-min"],
+)
+def test_signed_graph_rejects_entries_before_casting(entry):
+    signs = np.array([[0, entry], [entry, 0]], dtype=np.asarray(entry).dtype)
+    with pytest.raises(ValueError, match="entries"):
+        SignedGraph(signs=signs)
+
+
 # ---------------------------------------------------------------- to_signed
 
 
