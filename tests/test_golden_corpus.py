@@ -1,16 +1,19 @@
-"""Golden corpus: the detector's and the oracle's reports on fixed seeded graphs.
+"""Golden corpus: reports and generated bytes on fixed seeded inputs.
 
 Module node sets are the contract a refactor of ``detect`` or of the oracle
-must keep.  Each family below hashes the JSON report of every graph it
-builds; the literals were computed once and must only change together with
-a deliberate change of behaviour.
+must keep, and the generators' and the threshold's array bytes are the
+contract a refactor of ``randgen`` or ``to_signed`` must keep.  Each family
+below hashes what it builds; the literals were computed once and must only
+change together with a deliberate change of behaviour.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from balancenet.corrnet import ValidatedCorrMatrix
 from balancenet.experiments import regime_edge_law
 from balancenet.maxbalancecore import detect
 from balancenet.oracle import exact_lscbm
@@ -91,3 +94,78 @@ def test_golden_corpus_reports(family):
     assert _digest(detect(g).to_report() for g in graphs) == GOLDEN[f"{family}/detect"]
     if with_oracle:
         assert _digest(exact_lscbm(g).to_report() for g in graphs) == GOLDEN[f"{family}/exact_lscbm"]
+
+
+# ---------------------------------------------------------------- generated bytes
+
+BYTE_SIZES = (1, 2, 3, 40, 301)
+THRESHOLDS = (0.05, 0.3, 0.7, 1.0)
+PLANTS = ((30, 4, 3), (200, 12, 8), (600, 30, 0), (40, 0, 0), (40, 0, 12))
+
+
+def _sample_bytes(regime):
+    # b = 2 needs n > 2, so the two smallest graphs take the n = 3 dense law
+    h = hashlib.sha256()
+    for n in BYTE_SIZES:
+        alpha, beta = regime_edge_law(regime, max(n, 3) if regime == "dense" else n)
+        params = SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=derive_seed(CORPUS_SEED, 3, n))
+        h.update(sample_signed(params).signs.tobytes())
+    return h.hexdigest()
+
+
+def _plant(n, n_a, n_b):
+    return plant_lscbm(n, n_a, n_b, 0.7, derive_seed(CORPUS_SEED, 5, n, n_a, n_b))
+
+
+def _plant_bytes():
+    h = hashlib.sha256()
+    for n, n_a, n_b in PLANTS:
+        inst = _plant(n, n_a, n_b)
+        h.update(inst.matrix.values.tobytes())
+        h.update(json.dumps([inst.truth_a, inst.truth_b]).encode())
+    return h.hexdigest()
+
+
+def _boundary_matrix():
+    """Symmetric matrix holding, for every threshold, entries at and one ulp inside it."""
+    entries = [0.0, -0.0]
+    for sigma in THRESHOLDS:
+        inside = np.nextafter(sigma, 0.0)
+        entries += [sigma, -sigma, inside, -inside]
+    n = 7  # 21 pairs hold the 18 entries
+    values = np.eye(n)
+    iu, ju = np.triu_indices(n, k=1)
+    upper = np.resize(entries, iu.size)
+    values[iu, ju] = upper
+    values[ju, iu] = upper
+    return ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
+
+
+def _threshold_bytes():
+    h = hashlib.sha256()
+    for matrix in (_plant(200, 12, 8).matrix, _boundary_matrix()):
+        for sigma in THRESHOLDS:
+            h.update(to_signed(matrix, sigma).signs.tobytes())
+    return h.hexdigest()
+
+
+BYTE_FAMILIES = {
+    "sample_signed/general": lambda: _sample_bytes("general"),
+    "sample_signed/dense": lambda: _sample_bytes("dense"),
+    "sample_signed/negative": lambda: _sample_bytes("negative"),
+    "plant_lscbm": _plant_bytes,
+    "to_signed": _threshold_bytes,
+}
+
+GOLDEN_BYTES = {
+    "plant_lscbm": "c1f66568b854337456f48f76c5351c063d6a9497c30d7e6211213e9af25a2ede",
+    "sample_signed/dense": "9e09a8fc5ef13c01fe9e9f9947b3f1a931b241921b1b87c39c32c70dd4e735f2",
+    "sample_signed/general": "43ecb446b162869ab5fc72ace933cc9331744e2da113dda762a7e972aafaeeac",
+    "sample_signed/negative": "1fafbf798c57823584a74bd7279c53ba2eba15c6102444bd9f9d5a2783ad0552",
+    "to_signed": "eeef83a44610a24349eab0c66501f532f26254e378a632ee6a3b95ddcd5f0e82",
+}
+
+
+@pytest.mark.parametrize("family", sorted(BYTE_FAMILIES))
+def test_golden_corpus_bytes(family):
+    assert BYTE_FAMILIES[family]() == GOLDEN_BYTES[family]
