@@ -232,7 +232,7 @@ def run_scaling(
         raise ValueError("n_grid must be nonempty with n >= 3")
     cfg = DetectConfig(max_seeds=max_seeds)
 
-    raw: list[tuple[int, float, float, float]] = []
+    raw: list[tuple[int, float, float, float, float]] = []
     for gi, n in enumerate(grid):
         alpha, beta = regime_edge_law(
             regime, n, alpha_edge=alpha_edge, beta_edge=beta_edge, b=b

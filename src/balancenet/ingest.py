@@ -84,8 +84,9 @@ class ReturnMatrix:
 def load_prices(path: str | Path) -> PriceTable:
     """Load a wide CSV of prices, dropping tickers with unusable histories.
 
-    Raises ValueError for an unreadable file, malformed header, non-ascending
-    dates, fewer than MIN_ROWS data rows, or fewer than two surviving tickers.
+    Raises ValueError for an unreadable file or one the CSV reader rejects,
+    a malformed header, non-ascending dates, fewer than MIN_ROWS data rows,
+    or fewer than two surviving tickers.
     Dropped tickers and the reason for each drop are recorded on the returned
     table's ``drop_log``.
     """
@@ -93,7 +94,7 @@ def load_prices(path: str | Path) -> PriceTable:
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         raise ValueError(f"cannot read price file {path}: {exc}") from exc
 
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]

@@ -4,7 +4,8 @@ Per-pair randomness is counter-based: the value for pair (i, j) is a 64-bit
 hash of (seed, stream, i*n + j), so the sample is independent of generation
 order and safe to produce in parallel.  The mixing function is the
 SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
-counter.
+counter.  Both generators build their matrices with ``_symmetric``, the
+module's one pair loop, which writes each generated row and its mirror.
 """
 
 from __future__ import annotations
@@ -84,6 +85,19 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
     return float(_pair_u01(seed, stream, keys)[0])
 
 
+def _symmetric(n: int, dtype: type, row) -> np.ndarray:
+    """The n x n zero-diagonal matrix holding ``row(keys)`` in row i and column i.
+
+    ``keys`` are the counter keys i*n + j of the pairs (i, j > i), in order of j.
+    """
+    out = np.zeros((n, n), dtype=dtype)
+    for i in range(n - 1):
+        values = row(np.uint64(i) * np.uint64(n) + np.arange(i + 1, n, dtype=np.uint64))
+        out[i, i + 1 :] = values
+        out[i + 1 :, i] = values
+    return out
+
+
 @dataclass(frozen=True)
 class SignedModelParams:
     """Edge law for the random signed graph: +1 w.p. alpha, -1 w.p. beta."""
@@ -130,19 +144,16 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
     -1 with probability beta, and 0 otherwise.  Identical parameters and
     seed always reproduce the identical graph.
     """
-    n = params.n
-    alpha = params.alpha_edge
-    beta = params.beta_edge
-    signs = np.zeros((n, n), dtype=np.int8)
-    for i in range(n - 1):
-        j = np.arange(i + 1, n, dtype=np.uint64)
-        u = _pair_u01(params.seed, _STREAM_SIGN, np.uint64(i) * np.uint64(n) + j)
-        row = np.zeros(n - i - 1, dtype=np.int8)
-        row[u < alpha] = 1
-        row[(u >= alpha) & (u < alpha + beta)] = -1
-        signs[i, i + 1 :] = row
-        signs[i + 1 :, i] = row
-    return SignedGraph(signs=signs)
+    alpha, beta = params.alpha_edge, params.beta_edge
+
+    def row(keys: np.ndarray) -> np.ndarray:
+        u = _pair_u01(params.seed, _STREAM_SIGN, keys)
+        signs = np.zeros(u.size, dtype=np.int8)
+        signs[u < alpha] = 1
+        signs[(u >= alpha) & (u < alpha + beta)] = -1
+        return signs
+
+    return SignedGraph(signs=_symmetric(params.n, np.int8, row))
 
 
 def plant_lscbm(
@@ -167,35 +178,21 @@ def plant_lscbm(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
     truth_a = np.sort(perm[:n_a])
-    truth_b = np.sort(perm[n_a : n_a + n_b])
-
-    side = np.zeros(n, dtype=np.int8)  # +1 in A, -1 in B, 0 in remainder
-    side[truth_a] = 1
-    side[truth_b] = -1
-    in_core = side != 0
+    truth_b = np.sort(perm[n_a:core])
 
     # weak weights must stay strictly inside (-sigma, sigma)
     top = np.nextafter(sigma, 0.0)
 
-    values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        j = np.arange(i + 1, n, dtype=np.uint64)
-        keys = np.uint64(i) * np.uint64(n) + j
+    def row(keys: np.ndarray) -> np.ndarray:
         u_cat = _pair_u01(seed, _STREAM_SIGN, keys)
         u_mag = _pair_u01_open(seed, _STREAM_WEIGHT, keys)
         mag = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
-        row = np.where(
-            u_cat < _P_ABSENT,
-            0.0,
-            np.where(u_cat < _P_ABSENT + _P_WEAK_POS, mag, -mag),
-        )
-        if in_core[i]:
-            core_cols = in_core[i + 1 :]
-            row[core_cols] = np.where(
-                side[i + 1 :][core_cols] == side[i], 1.0, -1.0
-            )
-        values[i, i + 1 :] = row
-        values[i + 1 :, i] = row
+        weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, mag, -mag)
+        return np.where(u_cat < _P_ABSENT, 0.0, weak)
+
+    values = _symmetric(n, np.float64, row)
+    side = np.repeat([1.0, -1.0], (n_a, n_b))  # factions A then B, as drawn from perm
+    values[np.ix_(perm[:core], perm[:core])] = np.outer(side, side)
     np.fill_diagonal(values, 1.0)
 
     matrix = ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)

@@ -139,8 +139,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
-    values = v.values
-    signs = np.where(np.abs(values) >= sigma, np.sign(values), 0.0).astype(np.int8)
+    signs = (v.values >= sigma).astype(np.int8) - (v.values <= -sigma)
     np.fill_diagonal(signs, 0)
     return SignedGraph(signs=signs)
 

@@ -5,10 +5,11 @@ as they complete.  Tolerances are fixed here, not tuned at runtime.  The
 master seed pins every randomized criterion to a reproducible outcome.
 
 Known red: criterion 7's bound (mean detected size <= 6 for every N in the
-negative-dominated regime) is measurably unattainable; the exact optimum
-already averages above 6 at small N, so any sound detector exceeds the
-bound too.  The criterion is asserted as stated rather than weakened; see
-the analysis notes shipped alongside the repository.
+negative-dominated regime).  The detector's per-N means are 6.1-6.8, and the
+largest balanced module is never smaller than a detected one, so the
+optimum's mean is at least the detector's: the bound does not describe the
+true module size.  A weaker detector could still stay under it.  The
+criterion is asserted as stated rather than weakened.
 """
 
 import math

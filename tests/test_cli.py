@@ -172,6 +172,14 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_csv_exit_code(tmp_path, capsys):
+    prices = tmp_path / "p.csv"
+    prices.write_text("date,AAA\n2020-01-01," + "1" * 200_000 + "\n")
+    code = main(["build-net", "--in", str(prices), "--out", str(tmp_path / "x")])
+    assert code == EXIT_INPUT
+    assert f"error: cannot read price file {prices}" in capsys.readouterr().err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     net = tmp_path / "big"
     main(["gen-random", "--n", "30", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])

@@ -1,0 +1,27 @@
+"""The package's runtime imports: the standard library and numpy only."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import balancenet
+
+NEW_TOP_LEVEL_MODULES = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import balancenet\n"
+    "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+)
+
+
+def test_import_adds_only_numpy_beyond_the_standard_library():
+    # numpy is the only dependency pyproject.toml declares; a fresh process
+    # shows what ``import balancenet`` pulls in, whatever the tests imported
+    src = str(Path(balancenet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", NEW_TOP_LEVEL_MODULES], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "balancenet" in out
+    assert set(out) - set(sys.stdlib_module_names) <= {"balancenet", "numpy"}

@@ -1,6 +1,7 @@
 """Tests for signed graphs, the balance checkers, and faction splitting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_to_signed_threshold_boundaries():
 def test_to_signed_sigma_range(sigma):
     with pytest.raises(ValueError):
         to_signed(as_validated(np.eye(3)), sigma)
+
+
+def test_to_signed_makes_no_float_copies():
+    n = 1000
+    upper = np.triu(np.random.default_rng(2).uniform(-1, 1, size=(n, n)), 1)
+    v = as_validated(upper + upper.T + np.eye(n))
+    tracemalloc.start()
+    try:
+        to_signed(v, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 result and one boolean temporary fit; one float64 copy does not
+    assert peak <= 4 * n * n
 
 
 def test_to_signed_monotone_in_sigma():
