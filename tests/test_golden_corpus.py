@@ -1,12 +1,14 @@
 """Golden corpus: reports and generated bytes on fixed seeded inputs.
 
 Module node sets are the contract a refactor of ``detect`` or of the oracle
-must keep, and the generators' and the threshold's array bytes are the
-contract a refactor of ``randgen`` or ``to_signed`` must keep.  Each family
-below hashes what it builds; the literals were computed once and must only
+must keep, the generators' and the threshold's array bytes are the contract
+a refactor of ``randgen`` or ``to_signed`` must keep, and the simulation
+reports are the contract a refactor of ``experiments`` must keep.  Each
+family below hashes what it builds; the literals were computed once and must only
 change together with a deliberate change of behaviour.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from balancenet.corrnet import ValidatedCorrMatrix
-from balancenet.experiments import regime_edge_law
+from balancenet.experiments import regime_edge_law, run_accuracy, run_nonempty_check, run_scaling
 from balancenet.maxbalancecore import detect
 from balancenet.oracle import exact_lscbm
 from balancenet.randgen import SignedModelParams, derive_seed, plant_lscbm, sample_signed
@@ -169,3 +171,28 @@ GOLDEN_BYTES = {
 @pytest.mark.parametrize("family", sorted(BYTE_FAMILIES))
 def test_golden_corpus_bytes(family):
     assert BYTE_FAMILIES[family]() == GOLDEN_BYTES[family]
+
+
+# ---------------------------------------------------------------- simulation reports
+
+
+def _harness_reports():
+    reports = [
+        run_scaling("general", [60, 120, 300], trials=4, seed=CORPUS_SEED),
+        run_scaling("dense", [60, 200], trials=4, seed=CORPUS_SEED),
+        run_scaling("negative", [100, 400], trials=4, seed=CORPUS_SEED),
+        run_accuracy(300, 20, 30, trials=3, seed=CORPUS_SEED),
+        run_nonempty_check(15, 0.1, 0.1, trials=8, seed=CORPUS_SEED, method="oracle"),
+        run_nonempty_check(40, 0.06, 0.04, trials=8, seed=CORPUS_SEED, method="detect"),
+    ]
+    dicts = [dataclasses.asdict(r) for r in reports]
+    for d in dicts:
+        d.pop("mean_runtime_s", None)  # wall time is not a pure function of the seed
+    return dicts
+
+
+GOLDEN_HARNESS = "dfdef4afe1c1fea5a40a5a7c59d079e285858a431fc4d76aba15ee47b5e9a663"
+
+
+def test_golden_corpus_harness():
+    assert _digest(_harness_reports()) == GOLDEN_HARNESS
