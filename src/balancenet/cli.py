@@ -186,7 +186,6 @@ def _cmd_sim_accuracy(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=seed,
         max_seeds=args.max_seeds,
-        workers=args.threads,
     )
     _write_report(asdict(report), Path(args.out), args.format)
     print(
@@ -221,7 +220,6 @@ def _cmd_sim_scaling(args: argparse.Namespace) -> int:
         beta_edge=args.beta_edge,
         b=args.b,
         max_seeds=args.max_seeds,
-        workers=args.threads,
     )
     payload = asdict(report) if args.format == "json" else [asdict(r) for r in report.rows]
     _write_report(payload, Path(args.out), args.format)
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file or directory")
         if report:
             p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--threads", type=int, default=1, help="worker bound; results are independent of it")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         if seeded:
             p.add_argument("--rng-seed", type=int, default=None, help="omit to draw and print one")
 

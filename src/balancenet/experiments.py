@@ -1,18 +1,17 @@
 """Simulation harness: recovery accuracy, size-scaling checks, existence probes.
 
-All runs are reproducible: each trial derives its own sub-seed from the
-master seed and the trial index, so results do not depend on scheduling or
-on the worker count.  Only ``run_accuracy`` measures wall time: a monotonic
-clock around thresholding plus detection, excluding instance generation.
+All runs are reproducible: trials run one after another, and each derives
+its own sub-seed from the master seed and the trial index.  Only
+``run_accuracy`` measures wall time: a monotonic clock around thresholding
+plus detection, excluding instance generation.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -159,13 +158,6 @@ def regime_edge_law(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def run_accuracy(
     n: int,
     n_a: int,
@@ -174,7 +166,6 @@ def run_accuracy(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     max_seeds: int = DEFAULT_MAX_SEEDS,
-    workers: int = 1,
 ) -> AccuracyReport:
     """Planted-module recovery: fraction of trials with exact node-set recovery.
 
@@ -185,16 +176,14 @@ def run_accuracy(
         raise ValueError("trials must be >= 1")
     cfg = DetectConfig(sigma=sigma, max_seeds=max_seeds)
 
-    def one_trial(t: int) -> tuple[bool, float]:
+    hits = 0
+    runtime = 0.0
+    for t in range(trials):
         inst = plant_lscbm(n, n_a, n_b, sigma, derive_seed(seed, t))
         start = time.perf_counter()
         module = detect(to_signed(inst.matrix, sigma), cfg)
-        elapsed = time.perf_counter() - start
-        return module.nodes == inst.truth_nodes, elapsed
-
-    results = _map_trials(one_trial, trials, workers)
-    hits = sum(1 for ok, _ in results if ok)
-    mean_rt = sum(rt for _, rt in results) / trials
+        runtime += time.perf_counter() - start
+        hits += module.nodes == inst.truth_nodes
     return AccuracyReport(
         n=n,
         n_a=n_a,
@@ -203,7 +192,7 @@ def run_accuracy(
         trials=trials,
         seed=seed,
         accuracy=hits / trials,
-        mean_runtime_s=mean_rt,
+        mean_runtime_s=runtime / trials,
     )
 
 
@@ -217,7 +206,6 @@ def run_scaling(
     beta_edge: float = 0.3,
     b: float = 2.0,
     max_seeds: int = DEFAULT_MAX_SEEDS,
-    workers: int = 1,
 ) -> ScalingReport:
     """Detected-size-to-prediction ratios over an N grid, normalized to mean 1.
 
@@ -241,18 +229,18 @@ def run_scaling(
             regime, n, alpha_edge=alpha, beta_edge=beta, b=b
         )
 
-        def one_trial(t: int, _n=n, _alpha=alpha, _beta=beta) -> tuple[int, bool]:
-            params = SignedModelParams(
-                n=_n, alpha_edge=_alpha, beta_edge=_beta, seed=derive_seed(seed, gi, t)
+        modules = [
+            detect(
+                sample_signed(
+                    SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=derive_seed(seed, gi, t))
+                ),
+                cfg,
             )
-            module = detect(sample_signed(params), cfg)
-            return module.size, module.all_positive
-
-        results = _map_trials(one_trial, trials, workers)
-        sizes = [s for s, _ in results]
-        mean_size = sum(sizes) / trials
+            for t in range(trials)
+        ]
+        mean_size = sum(m.size for m in modules) / trials
         ratio = mean_size / pred
-        all_pos = sum(1 for _, ap in results if ap) / trials
+        all_pos = sum(1 for m in modules if m.all_positive) / trials
         raw.append((n, mean_size, pred, ratio, all_pos))
 
     grand = sum(r[3] for r in raw) / len(raw)
@@ -281,7 +269,6 @@ def run_nonempty_check(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     method: str = "auto",
-    workers: int = 1,
 ) -> NonemptyReport:
     """Fraction of sampled graphs holding a module of size >= 3.
 
@@ -296,16 +283,14 @@ def run_nonempty_check(
     if method not in ("oracle", "detect"):
         raise ValueError(f"unknown method {method!r}")
 
-    def one_trial(t: int) -> bool:
+    hits = 0
+    for t in range(trials):
         params = SignedModelParams(
             n=n, alpha_edge=alpha_edge, beta_edge=beta_edge, seed=derive_seed(seed, t)
         )
         g = sample_signed(params)
-        if method == "oracle":
-            return exact_lscbm(g).size >= MIN_MODULE_SIZE
-        return detect(g).size >= MIN_MODULE_SIZE
-
-    results = _map_trials(one_trial, trials, workers)
+        module = exact_lscbm(g) if method == "oracle" else detect(g)
+        hits += module.size >= MIN_MODULE_SIZE
     return NonemptyReport(
         n=n,
         alpha_edge=alpha_edge,
@@ -313,7 +298,7 @@ def run_nonempty_check(
         trials=trials,
         seed=seed,
         method=method,
-        fraction=sum(results) / trials,
+        fraction=hits / trials,
     )
 
 

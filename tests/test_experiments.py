@@ -98,11 +98,10 @@ def test_run_accuracy_empty_truth():
     assert report.accuracy == 1.0
 
 
-def test_run_accuracy_reproducible_and_worker_independent():
+def test_run_accuracy_reproducible():
     one = run_accuracy(60, 6, 9, trials=4, seed=5)
     two = run_accuracy(60, 6, 9, trials=4, seed=5)
-    threaded = run_accuracy(60, 6, 9, trials=4, seed=5, workers=2)
-    assert one.accuracy == two.accuracy == threaded.accuracy
+    assert one.accuracy == two.accuracy
     assert one.trials == 4 and one.seed == 5
 
 

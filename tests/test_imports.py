@@ -15,13 +15,24 @@ NEW_TOP_LEVEL_MODULES = (
 )
 
 
-def test_import_adds_only_numpy_beyond_the_standard_library():
-    # numpy is the only dependency pyproject.toml declares; a fresh process
-    # shows what ``import balancenet`` pulls in, whatever the tests imported
+def _fresh_import(script):
+    # a fresh process shows what ``import balancenet`` pulls in, whatever the
+    # tests imported
     src = str(Path(balancenet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-c", NEW_TOP_LEVEL_MODULES], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_import_adds_only_numpy_beyond_the_standard_library():
+    # numpy is the only dependency pyproject.toml declares
+    out = _fresh_import(NEW_TOP_LEVEL_MODULES)
     assert "balancenet" in out
     assert set(out) - set(sys.stdlib_module_names) <= {"balancenet", "numpy"}
+
+
+def test_import_loads_no_thread_pool():
+    # simulation trials run in order; the pool's module costs import time
+    out = _fresh_import("import sys\nimport balancenet\nprint('concurrent.futures' in sys.modules)\n")
+    assert out == ["False"]
