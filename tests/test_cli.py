@@ -180,6 +180,14 @@ def test_malformed_csv_exit_code(tmp_path, capsys):
     assert f"error: cannot read price file {prices}" in capsys.readouterr().err
 
 
+def test_non_utf8_csv_exit_code(tmp_path, capsys):
+    prices = tmp_path / "p.csv"
+    prices.write_bytes(b"date,AAA\n2020-01-01,1.0\n\xff\xfe\n")
+    code = main(["build-net", "--in", str(prices), "--out", str(tmp_path / "x")])
+    assert code == EXIT_INPUT
+    assert f"error: cannot read price file {prices}" in capsys.readouterr().err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     net = tmp_path / "big"
     main(["gen-random", "--n", "30", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
