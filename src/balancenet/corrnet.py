@@ -247,24 +247,26 @@ def validate(
     """Zero out entries whose two-sided t-test fails at ``alpha_level``.
 
     ``method="threshold"`` keeps entry (i, j) iff |C_ij| > r*, with r*
-    precomputed once.  ``method="tstat"`` runs the per-pair test statistic
-    against the critical value directly; both routes must agree exactly and
-    the slower one exists for that cross-check.
+    precomputed once.  ``method="tstat"`` compares ``t_statistic``'s formula,
+    evaluated over the upper triangle, with the critical value directly;
+    both routes must agree exactly and the second exists for that
+    cross-check.
     """
     if t_len < 4:
         raise ValueError("need T >= 4 so that nu = T - 2 >= 2")
     values = corr.values
-    n = values.shape[0]
     if method == "threshold":
         r_star = critical_correlation(t_len, alpha_level)
         mask = np.abs(values) > r_star
     elif method == "tstat":
         t_star = t_critical(t_len - 2, alpha_level)
-        mask = np.zeros_like(values, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                keep = abs(t_statistic(values[i, j], t_len)) > t_star
-                mask[i, j] = mask[j, i] = keep
+        upper = np.triu(values, 1)
+        if (np.abs(upper) > 1).any():
+            raise ValueError("correlation must lie in [-1, 1]")
+        with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
+            t = upper * np.sqrt((t_len - 2) / (1.0 - upper * upper))
+        mask = np.abs(t) > t_star
+        mask = mask | mask.T
     else:
         raise ValueError(f"unknown validation method {method!r}")
 

@@ -197,6 +197,28 @@ def test_perfect_correlation_always_significant():
     assert v.values[0, 1] == 1.0
 
 
+def test_validate_tstat_matches_the_scalar_statistic():
+    # the array route keeps exactly the pairs the per-pair statistic keeps,
+    # including |c| = 1 and entries one ulp either side of r*
+    rng = np.random.default_rng(5)
+    t_len = 40
+    r_star = critical_correlation(t_len, 0.05)
+    t_star = t_critical(t_len - 2, 0.05)
+    for _ in range(5):
+        values = pearson_matrix(rng.normal(size=(30, t_len))).values.copy()
+        for i, j, c in ((0, 1, 1.0), (2, 3, -1.0), (4, 5, r_star), (6, 7, np.nextafter(r_star, 1.0))):
+            values[i, j] = values[j, i] = c
+        kept = validate(corr_from(values), t_len=t_len, method="tstat").values != 0
+        for i in range(30):
+            for j in range(i + 1, 30):
+                assert kept[i, j] == kept[j, i] == (abs(t_statistic(values[i, j], t_len)) > t_star)
+
+
+def test_validate_tstat_rejects_correlation_above_one():
+    with pytest.raises(ValueError, match="correlation must lie in"):
+        validate(pair_matrix(3, 0, 2, np.nextafter(1.0, 2.0)), t_len=10, method="tstat")
+
+
 # ---------------------------------------------------------------- summary stats
 
 
