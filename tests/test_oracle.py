@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balancenet.maxbalancecore import detect
 from balancenet.oracle import (
     EnumerationBudgetError,
     MAX_ORACLE_NODES,
@@ -143,3 +146,31 @@ def test_exact_size_monotone_under_edge_deletion():
         signs[drop[0], drop[1]] = signs[drop[1], drop[0]] = 0
         after = exact_lscbm(SignedGraph(signs=signs)).size
         assert after <= before
+
+
+# ---------------------------------------------------------------- differential
+
+
+@st.composite
+def sign_graphs(draw):
+    """Arbitrary symmetric sign matrices, each pair drawn from {-1, 0, +1}."""
+    n = draw(st.integers(3, 14))
+    pairs = n * (n - 1) // 2
+    upper = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=pairs, max_size=pairs))
+    signs = np.zeros((n, n), dtype=np.int8)
+    iu, ju = np.triu_indices(n, k=1)
+    signs[iu, ju] = signs[ju, iu] = upper
+    return SignedGraph(signs=signs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(sign_graphs())
+def test_detect_against_the_exact_optimum(g):
+    found = detect(g)
+    best = exact_lscbm(g)
+    assert found.size == 0 or is_scbm(g, found.nodes)
+    assert found.size <= best.size
+    if best.size:
+        assert is_scbm(g, best.nodes)
+        assert count_scbm(g, best.size) >= 1
+    assert count_scbm(g, max(best.size + 1, 3)) == 0
