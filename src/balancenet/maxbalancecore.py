@@ -33,14 +33,14 @@ DEFAULT_MAX_SEEDS = 100
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Detection parameters: strength threshold and seed budget."""
+    """Detection parameters: the threshold label and the seed budget."""
 
     sigma: float = DEFAULT_SIGMA
     max_seeds: int = DEFAULT_MAX_SEEDS
 
     def __post_init__(self) -> None:
-        # sigma in (0, 1] also guarantees that the candidate-strength test
-        # |S_ij| >= sigma on a {-1, 0, +1} matrix reduces to S_ij != 0.
+        # detect never tests edges against sigma: the graph is already
+        # thresholded, and sigma only labels the returned module.
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
         if self.max_seeds < 1:
