@@ -66,6 +66,21 @@ def test_signed_graph_validation():
         SignedGraph(signs=np.zeros((2, 3), dtype=np.int8))
 
 
+@pytest.mark.parametrize("n", [257, 513])
+def test_signed_graph_rejects_one_broken_mirror_pair(n):
+    g = random_graph(np.random.default_rng(n), n)
+    for i, j in [(0, n - 1), (n - 1, 0), (255, 256), (256, 255), (n - 2, n - 1)]:
+        signs = g.signs.copy()
+        signs[i, j] = 0 if signs[i, j] else 1
+        with pytest.raises(ValueError, match="symmetric"):
+            SignedGraph(signs=signs)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_signed_graph_accepts_empty_and_single_node(n):
+    assert SignedGraph(signs=np.zeros((n, n), dtype=np.int8)).n == n
+
+
 @pytest.mark.parametrize(
     "entry",
     [256, 255, 0.5, 1.7, np.int8(-128)],
