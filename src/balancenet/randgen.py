@@ -5,11 +5,15 @@ hash of (seed, stream, i*n + j), so the sample is independent of generation
 order and safe to produce in parallel.  The mixing function is the
 SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
 counter.  Both generators build their matrices with ``_symmetric``, the
-module's one pair loop, which writes each generated row and its mirror.
+module's one pair loop, which hashes a block of rows at a time and writes
+the block above the diagonal and its mirror below.  ``sample_signed``
+compares the 53-bit integer draws with integer thresholds, so it builds no
+float uniforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,9 @@ _STREAM_WEIGHT = 1
 # planted weak-sector edge law: absent / weakly positive / weakly negative
 _P_ABSENT = 0.30
 _P_WEAK_POS = 0.35
+
+# cells hashed per block of rows in ``_symmetric``; a larger block raises peak RSS
+_BLOCK_CELLS = 1 << 16
 
 
 def _mix64_int(z: int) -> int:
@@ -85,16 +92,23 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
     return float(_pair_u01(seed, stream, keys)[0])
 
 
-def _symmetric(n: int, dtype: type, row) -> np.ndarray:
-    """The n x n zero-diagonal matrix holding ``row(keys)`` in row i and column i.
+def _symmetric(n: int, dtype: type, cells) -> np.ndarray:
+    """The n x n zero-diagonal matrix holding ``cells(keys)`` at (i, j) and (j, i).
 
-    ``keys`` are the counter keys i*n + j of the pairs (i, j > i), in order of j.
+    ``keys`` is a 2-D block of counter keys i*n + j, rows r0..r1 - 1 by
+    columns r0 + 1..n - 1; ``cells`` maps it element by element.  The block's
+    upper triangle (j > i) is written above the diagonal, and its transpose
+    added below, where the block's own rows hold zeros from ``np.triu``.
     """
     out = np.zeros((n, n), dtype=dtype)
-    for i in range(n - 1):
-        values = row(np.uint64(i) * np.uint64(n) + np.arange(i + 1, n, dtype=np.uint64))
-        out[i, i + 1 :] = values
-        out[i + 1 :, i] = values
+    r0 = 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, _BLOCK_CELLS // (n - 1 - r0)))
+        rows = np.arange(r0, r1, dtype=np.uint64)[:, None] * np.uint64(n)
+        block = np.triu(cells(rows + np.arange(r0 + 1, n, dtype=np.uint64)))
+        out[r0:r1, r0 + 1 :] = block
+        out[r0 + 1 :, r0:r1] += block.T
+        r0 = r1
     return out
 
 
@@ -144,16 +158,18 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
     -1 with probability beta, and 0 otherwise.  Identical parameters and
     seed always reproduce the identical graph.
     """
-    alpha, beta = params.alpha_edge, params.beta_edge
+    # m * 2**-53 < x  <=>  m < ceil(x * 2**53): the scaling is exact; the cap
+    # covers alpha + beta, which may exceed 1 by rounding
+    t_alpha, t_both = (
+        np.uint64(min(math.ceil(x * 2.0**53), 1 << 53))
+        for x in (params.alpha_edge, params.alpha_edge + params.beta_edge)
+    )
 
-    def row(keys: np.ndarray) -> np.ndarray:
-        u = _pair_u01(params.seed, _STREAM_SIGN, keys)
-        signs = np.zeros(u.size, dtype=np.int8)
-        signs[u < alpha] = 1
-        signs[(u >= alpha) & (u < alpha + beta)] = -1
-        return signs
+    def cells(keys: np.ndarray) -> np.ndarray:
+        m = _pair_words(params.seed, _STREAM_SIGN, keys) >> np.uint64(11)
+        return 2 * (m < t_alpha).astype(np.int8) - (m < t_both)
 
-    return SignedGraph(signs=_symmetric(params.n, np.int8, row))
+    return SignedGraph(signs=_symmetric(params.n, np.int8, cells))
 
 
 def plant_lscbm(
@@ -183,14 +199,14 @@ def plant_lscbm(
     # weak weights must stay strictly inside (-sigma, sigma)
     top = np.nextafter(sigma, 0.0)
 
-    def row(keys: np.ndarray) -> np.ndarray:
+    def cells(keys: np.ndarray) -> np.ndarray:
         u_cat = _pair_u01(seed, _STREAM_SIGN, keys)
         u_mag = _pair_u01_open(seed, _STREAM_WEIGHT, keys)
         mag = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
         weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, mag, -mag)
         return np.where(u_cat < _P_ABSENT, 0.0, weak)
 
-    values = _symmetric(n, np.float64, row)
+    values = _symmetric(n, np.float64, cells)
     side = np.repeat([1.0, -1.0], (n_a, n_b))  # factions A then B, as drawn from perm
     values[np.ix_(perm[:core], perm[:core])] = np.outer(side, side)
     np.fill_diagonal(values, 1.0)

@@ -20,6 +20,8 @@ from balancenet.corrnet import ValidatedCorrMatrix
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
 
+_SYMMETRY_TILE = 256
+
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -42,8 +44,10 @@ class SignedGraph:
         object.__setattr__(self, "signs", signs)
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        if not np.array_equal(signs, signs.T):
-            raise ValueError("signs must be symmetric")
+        # row tiles against column tiles: a full signs.T reads with a stride of n bytes
+        for r in range(0, signs.shape[0], _SYMMETRY_TILE):
+            if not np.array_equal(signs[r : r + _SYMMETRY_TILE, r:], signs[r:, r : r + _SYMMETRY_TILE].T):
+                raise ValueError("signs must be symmetric")
 
     @property
     def n(self) -> int:

@@ -1,6 +1,7 @@
 """Tests for the seeded graph sampler and the planted-instance generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,62 @@ def test_sample_matches_per_pair_uniforms():
         expected = 1 if u < 0.5 else (-1 if u < 0.75 else 0)
         assert g.signs[i, j] == expected
         assert pair_uniform(321, j, i, 25) == u  # unordered pair
+
+
+def _pair_with_uniform_in(seed, n, lo, hi):
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = pair_uniform(seed, i, j, n)
+            if lo <= u < hi:
+                return i, j, u
+    raise AssertionError("no pair with a uniform in range")
+
+
+def test_threshold_is_strict_at_the_pairs_own_uniform():
+    # u in [1/4, 1/2) lies on the 2**-53 grid, while nextafter(u, 1) lies
+    # halfway between two grid points: floor and ceil of it differ
+    seed, n = 17, 20
+    i, j, u = _pair_with_uniform_in(seed, n, 0.25, 0.5)
+    up = float(np.nextafter(u, 1.0))
+
+    def sign(alpha, beta):
+        return sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=seed)).signs[i, j]
+
+    assert sign(u, 0.0) == 0  # u < alpha fails at alpha = u
+    assert sign(up, 0.0) == 1
+    # alpha = 1/8 lies below u; beta is exact, so alpha + beta is the target itself
+    for target, expected in ((u, 0), (up, -1)):
+        beta = target - 0.125
+        assert 0.125 + beta == target
+        assert sign(0.125, beta) == expected
+
+
+def test_sample_edge_law_at_the_ends_of_the_unit_interval():
+    n, seed = 30, 8
+    off = ~np.eye(n, dtype=bool)
+    g = sample_signed(SignedModelParams(n=n, alpha_edge=1.0, beta_edge=0.0, seed=seed))
+    assert (g.signs[off] == 1).all()
+    # alpha + beta may exceed 1 by rounding: every pair still gets an edge
+    alpha, beta = 0.5, 0.5 + 1e-15
+    assert 1.0 < alpha + beta <= 1.0 + 1e-15
+    g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=seed))
+    assert (g.signs[off] != 0).all()
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert g.signs[i, j] == (1 if pair_uniform(seed, i, j, n) < alpha else -1)
+
+
+def test_sample_signed_memory_budget():
+    n = 2000
+    params = SignedModelParams(n=n, alpha_edge=0.6, beta_edge=0.3, seed=3)
+    tracemalloc.start()
+    try:
+        sample_signed(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 result and small row blocks fit; a full n x n temporary does not
+    assert peak <= 1.5 * n * n
 
 
 def test_pair_uniform_rejects_self_pair():
