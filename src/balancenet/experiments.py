@@ -256,7 +256,12 @@ def run_scaling(
         for n, mean_size, pred, ratio, all_pos in raw
     )
     lam = scaling_constant(alpha_edge, beta_edge) if regime == "general" else None
-    params = {"alpha_edge": alpha_edge, "beta_edge": beta_edge, "b": b}
+    # only the arguments the regime's edge law reads
+    params = {
+        "general": {"alpha_edge": alpha_edge, "beta_edge": beta_edge},
+        "dense": {"b": b},
+        "negative": {},
+    }[regime]
     return ScalingReport(
         regime=regime, params=params, trials=trials, seed=seed, rows=rows, lambda_value=lam
     )

@@ -135,6 +135,14 @@ def test_run_scaling_dense_rows():
         assert 0.0 <= row.all_positive_fraction <= 1.0
 
 
+def test_run_scaling_params_name_only_the_laws_sampled():
+    assert run_scaling("general", [40], trials=1, seed=2).params == {"alpha_edge": 0.6, "beta_edge": 0.3}
+    dense = run_scaling("dense", [40], trials=1, seed=2, b=3.0)
+    assert "alpha_edge" not in dense.params
+    assert dense.params == {"b": 3.0}
+    assert run_scaling("negative", [40], trials=1, seed=2).params == {}
+
+
 def test_run_scaling_validates_grid():
     with pytest.raises(ValueError):
         run_scaling("general", [], trials=2, seed=0)
