@@ -191,7 +191,7 @@ def _harness_reports():
     return dicts
 
 
-GOLDEN_HARNESS = "dfdef4afe1c1fea5a40a5a7c59d079e285858a431fc4d76aba15ee47b5e9a663"
+GOLDEN_HARNESS = "d4577561bb6d6bb4752fa04f1e4b0c8c8a4c61735b490d4a1471ac3d4f038632"
 
 
 def test_golden_corpus_harness():
