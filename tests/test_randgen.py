@@ -107,12 +107,10 @@ def test_threshold_is_strict_at_the_pairs_own_uniform():
         assert sign(0.125, beta) == expected
 
 
-def test_sample_edge_law_at_the_ends_of_the_unit_interval():
+def test_sample_edge_law_just_above_one():
+    # alpha + beta may exceed 1 by rounding: every pair still gets an edge
     n, seed = 30, 8
     off = ~np.eye(n, dtype=bool)
-    g = sample_signed(SignedModelParams(n=n, alpha_edge=1.0, beta_edge=0.0, seed=seed))
-    assert (g.signs[off] == 1).all()
-    # alpha + beta may exceed 1 by rounding: every pair still gets an edge
     alpha, beta = 0.5, 0.5 + 1e-15
     assert 1.0 < alpha + beta <= 1.0 + 1e-15
     g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=seed))
