@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, Module, SignedGraph
+from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
 
@@ -49,7 +49,10 @@ class DetectConfig:
 
 def node_impacts(g: SignedGraph) -> np.ndarray:
     """Per-node count of nonzero incident signs (degree in the signed graph)."""
-    return (g.signs != 0).sum(axis=1)
+    out = np.empty(g.n, dtype=np.intp)
+    for r in range(0, g.n, ROW_TILE):
+        out[r : r + ROW_TILE] = np.count_nonzero(g.signs[r : r + ROW_TILE], axis=1)
+    return out
 
 
 def _as_index_array(nodes: Iterable[int]) -> np.ndarray:

@@ -20,7 +20,9 @@ from balancenet.corrnet import ValidatedCorrMatrix
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
 
-_SYMMETRY_TILE = 256
+# rows per tile in the passes over the whole matrix, which keeps each
+# temporary to ROW_TILE x n instead of n x n
+ROW_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class SignedGraph:
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
         # row tiles against column tiles: a full signs.T reads with a stride of n bytes
-        for r in range(0, signs.shape[0], _SYMMETRY_TILE):
-            if not np.array_equal(signs[r : r + _SYMMETRY_TILE, r:], signs[r:, r : r + _SYMMETRY_TILE].T):
+        for r in range(0, signs.shape[0], ROW_TILE):
+            if not np.array_equal(signs[r : r + ROW_TILE, r:], signs[r:, r : r + ROW_TILE].T):
                 raise ValueError("signs must be symmetric")
 
     @property
@@ -55,7 +57,11 @@ class SignedGraph:
 
     def bit_rows(self, sign: int) -> np.ndarray:
         """Rows of ``signs == sign`` packed into bytes: node v is bit v % 8 of byte v // 8."""
-        return np.packbits(self.signs == sign, axis=1, bitorder="little")
+        out = np.empty((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        for r in range(0, self.n, ROW_TILE):
+            tile = self.signs[r : r + ROW_TILE] == sign
+            out[r : r + ROW_TILE] = np.packbits(tile, axis=1, bitorder="little")
+        return out
 
 
 @dataclass(frozen=True)

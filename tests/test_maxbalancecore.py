@@ -1,5 +1,7 @@
 """Tests for the seed-and-grow detection heuristic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ def test_node_impacts():
 
     k5 = graph_from_edges(5, [(i, j, 1) for i in range(5) for j in range(i + 1, 5)])
     assert node_impacts(k5).tolist() == [4] * 5
+
+
+@pytest.mark.parametrize("n", [0, 1, 256, 257, 513])
+def test_node_impacts_match_the_whole_matrix_count(n):
+    upper = np.triu(np.random.default_rng(n).integers(-1, 2, size=(n, n), dtype=np.int8), 1)
+    g = SignedGraph(signs=upper + upper.T)
+    assert np.array_equal(node_impacts(g), (g.signs != 0).sum(axis=1))
+
+
+def test_detect_makes_no_full_size_temporaries():
+    n = 2000
+    g = sample_signed(SignedModelParams(n=n, alpha_edge=0.6, beta_edge=0.3, seed=3))
+    tracemalloc.start()
+    try:
+        detect(g, DetectConfig(max_seeds=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # packed +1 rows (n * n / 8 bytes) and row-tile temporaries fit; one n x n mask does not
+    assert peak <= 0.5 * n * n
 
 
 # ---------------------------------------------------------------- pruning

@@ -81,6 +81,15 @@ def test_signed_graph_accepts_empty_and_single_node(n):
     assert SignedGraph(signs=np.zeros((n, n), dtype=np.int8)).n == n
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 256, 257, 513])
+def test_bit_rows_match_the_whole_matrix_packing(n):
+    upper = np.triu(np.random.default_rng(n).integers(-1, 2, size=(n, n), dtype=np.int8), 1)
+    g = SignedGraph(signs=upper + upper.T)
+    for sign in (1, -1):
+        expected = np.packbits(g.signs == sign, axis=1, bitorder="little")
+        assert np.array_equal(g.bit_rows(sign), expected)
+
+
 @pytest.mark.parametrize(
     "entry",
     [256, 255, 0.5, 1.7, np.int8(-128)],
