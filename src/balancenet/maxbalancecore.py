@@ -16,7 +16,14 @@ are +1 is never removed: an earlier member with a bad tie to it violates
 too and goes first.  A member with a bad tie to a later member always is:
 that later member cannot go while it lives.  So the survivors are exactly
 the members with only +1 ties to every later member, which is the one
-predicate the intra-faction step computes, over packed +1 adjacency rows.
+predicate the intra-faction step computes.
+
+Every kernel works on the two packed sign planes of
+:meth:`SignedGraph.bit_rows`, the +1 rows and the -1 rows.  "All ties to a
+set are +1" is then "the node's +1 row covers the set's packed mask", and a
+faction's joint admission condition is the AND of its members' rows, so
+cross-pruning and expansion are AND-reduces over packed rows rather than
+gathers of int8 signs.
 """
 
 from __future__ import annotations
@@ -56,58 +63,78 @@ def node_impacts(g: SignedGraph) -> np.ndarray:
 
 
 def _as_index_array(nodes: Iterable[int]) -> np.ndarray:
-    return np.asarray(sorted(int(v) for v in nodes), dtype=np.intp)
+    return np.sort(np.fromiter(nodes, dtype=np.intp))
 
 
-def _intra_prune(
-    members: np.ndarray, signs: np.ndarray, pos_bits: np.ndarray
-) -> np.ndarray:
+def _mask(nodes: np.ndarray, nbytes: int) -> np.ndarray:
+    """Packed membership mask of ``nodes``, ``nbytes`` long."""
+    member = np.zeros(8 * nbytes, dtype=bool)
+    member[nodes] = True
+    return np.packbits(member, bitorder="little")
+
+
+def _covering(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Which packed ``rows`` have every bit of ``mask`` set; ``rows`` is overwritten."""
+    rows &= mask
+    return (rows == mask).all(axis=1)
+
+
+def _and_rows(planes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Per plane, the AND of the ``nodes`` rows; all ones when there are none."""
+    out = np.bitwise_and.reduce(planes[:, nodes[:ROW_TILE]], axis=1, initial=0xFF)
+    for r in range(ROW_TILE, nodes.size, ROW_TILE):
+        out &= np.bitwise_and.reduce(planes[:, nodes[r : r + ROW_TILE]], axis=1)
+    return out
+
+
+def _intra_prune(members: np.ndarray, faction: np.ndarray, pos_bits: np.ndarray) -> np.ndarray:
     """Keep the members whose ties to every later member are +1.
 
-    ``members`` must be sorted.  A survivor must be +1 to its successor, so
-    only those members (and the last one) are tested.  For a candidate u the
-    faction bits outside u's +1 row include u itself (the diagonal is 0), and
-    u survives iff it is the highest of them.
+    ``members`` must be sorted and ``faction`` is their packed mask.  The
+    last member always survives, and any other survivor must be +1 to its
+    successor, so only those members are tested.  For a candidate u the
+    faction bits outside u's +1 row include u itself (the diagonal is 0),
+    and u survives iff it is the highest of them.
     """
     if members.size < 2:
         return members
-    next_ok = signs[members[:-1], members[1:]] == 1
-    cand = np.append(members[:-1][next_ok], members[-1])
-    in_faction = np.zeros(signs.shape[0], dtype=bool)
-    in_faction[members] = True
-    bad = np.packbits(in_faction, bitorder="little") & ~pos_bits[cand]
-    top = bad.shape[1] - 1 - np.argmax(bad[:, ::-1] != 0, axis=1)
-    top_byte = bad[np.arange(cand.size), top]
-    return cand[(top == cand >> 3) & (top_byte >> (cand & 7) == 1)]
+    succ = members[1:]
+    next_ok = (pos_bits[members[:-1], succ >> 3] >> (succ & 7)) & 1 == 1
+    cand = members[:-1][next_ok]
+    bad = pos_bits[cand]
+    np.invert(bad, out=bad)
+    bad &= faction
+    words = bad.view("<u8")  # node v is bit v % 64 of word v // 64
+    top = words.shape[1] - 1 - (words[:, ::-1] != 0).argmax(axis=1)
+    top_word = words[np.arange(cand.size), top]
+    keep = (top == cand >> 6) & (top_word >> (cand & 63).astype(np.uint64) == 1)
+    return np.concatenate((cand[keep], members[-1:]))
 
 
 def _cross_prune(
-    a: np.ndarray, b: np.ndarray, signs: np.ndarray
+    a: np.ndarray, b: np.ndarray, neg_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop members whose tie to any opposite-faction node is not -1.
 
-    The A side is filtered against the full B first, then B against the
-    surviving A, matching the two removal statements' order.  Within a side
-    the outcome is scan-order independent because the condition only looks
-    across factions.
+    An A member stays iff its packed -1 row covers B's mask; then a B member
+    stays iff its -1 row covers the surviving A's mask, matching the two
+    removal statements' order.  Within a side the outcome is scan-order
+    independent because the condition only looks across factions.
     """
     if a.size == 0 or b.size == 0:
         return a, b
-    cross = signs[np.ix_(a, b)] == -1
-    keep_a = cross.all(axis=1)
-    a = a[keep_a]
+    a = a[_covering(neg_bits[a], _mask(b, neg_bits.shape[1]))]
     if a.size == 0:
         return a, b
-    keep_b = cross[keep_a].all(axis=0)
-    return a, b[keep_b]
+    return a, b[_covering(neg_bits[b], _mask(a, neg_bits.shape[1]))]
 
 
 def _prune(
-    a: np.ndarray, b: np.ndarray, signs: np.ndarray, pos_bits: np.ndarray
+    a: np.ndarray, b: np.ndarray, a_mask: np.ndarray, b_mask: np.ndarray, planes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    a = _intra_prune(a, signs, pos_bits)
-    b = _intra_prune(b, signs, pos_bits)
-    return _cross_prune(a, b, signs)
+    a = _intra_prune(a, a_mask, planes[0])
+    b = _intra_prune(b, b_mask, planes[0])
+    return _cross_prune(a, b, planes[1])
 
 
 def prune_factions(
@@ -123,8 +150,10 @@ def prune_factions(
     b_idx = _as_index_array(b)
     if np.intersect1d(a_idx, b_idx).size:
         raise ValueError("factions must be disjoint")
-    a_idx, b_idx = _prune(a_idx, b_idx, g.signs, g.bit_rows(1))
-    return tuple(int(v) for v in a_idx), tuple(int(v) for v in b_idx)
+    planes = g.bit_rows()
+    nbytes = planes.shape[2]
+    a_idx, b_idx = _prune(a_idx, b_idx, _mask(a_idx, nbytes), _mask(b_idx, nbytes), planes)
+    return tuple(a_idx.tolist()), tuple(b_idx.tolist())
 
 
 def expand(
@@ -132,6 +161,8 @@ def expand(
     b: Iterable[int],
     g: SignedGraph,
     candidates: Sequence[int],
+    *,
+    planes: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Single ascending sweep admitting candidates into a faction.
 
@@ -141,35 +172,34 @@ def expand(
     earlier admissions too.  There is no second sweep.  Unless both factions
     are empty, current members (zero diagonal) and nodes with a zero tie to
     any member are never admitted, so callers need not filter them out.
+
+    The conditions are two packed flag vectors over all nodes: A's is the
+    AND of A's +1 rows and B's -1 rows, B's the mirror, and each admission
+    ANDs the newcomer's rows into both.  ``planes`` are the graph's packed
+    sign planes, built here when not given.
     """
-    signs = g.signs
-    a_list = sorted(int(v) for v in a)
-    b_list = sorted(int(v) for v in b)
-    cand = np.flatnonzero(np.bincount(np.asarray(candidates, dtype=np.intp)))
+    if planes is None:
+        planes = g.bit_rows()
+    a_idx = _as_index_array(a)
+    b_idx = _as_index_array(b)
+    a_list, b_list = a_idx.tolist(), b_idx.tolist()
+    cand = np.bincount(np.asarray(candidates, dtype=np.intp)).nonzero()[0]
     if cand.size == 0:
         return tuple(a_list), tuple(b_list)
 
-    a_rows = signs[np.ix_(np.asarray(a_list, dtype=np.intp), cand)]
-    b_rows = signs[np.ix_(np.asarray(b_list, dtype=np.intp), cand)]
-    ok_a = (a_rows == 1).all(axis=0) & (b_rows == -1).all(axis=0)
-    ok_b = (a_rows == -1).all(axis=0) & (b_rows == 1).all(axis=0)
-    live = ok_a | ok_b  # the flags only fall, so no other candidate can join
-    cand, ok_a, ok_b = cand[live], ok_a[live], ok_b[live]
-
-    for pos in range(cand.size):
-        joins_a = bool(ok_a[pos])
-        if not joins_a and not ok_b[pos]:
-            continue
-        node = int(cand[pos])
-        row = signs[node, cand]
-        if joins_a:
+    # row 0 flags joining A, row 1 joining B; planes[::-1] swaps the signs
+    ok = _and_rows(planes, a_idx) & _and_rows(planes[::-1], b_idx)
+    ok_a, ok_b = ok
+    # the flags only fall, so no other candidate can join
+    live = cand[((ok_a | ok_b)[cand >> 3] >> (cand & 7)) & 1 == 1]
+    for node in live.tolist():
+        byte, bit = node >> 3, 1 << (node & 7)
+        if ok_a[byte] & bit:
             a_list.append(node)
-            ok_a &= row == 1
-            ok_b &= row == -1
-        else:
+            ok &= planes[:, node]
+        elif ok_b[byte] & bit:
             b_list.append(node)
-            ok_a &= row == -1
-            ok_b &= row == 1
+            ok &= planes[::-1, node]
     return tuple(sorted(a_list)), tuple(sorted(b_list))
 
 
@@ -184,10 +214,10 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     """
     if cfg is None:
         cfg = DetectConfig()
-    signs = g.signs
     impacts = node_impacts(g)
     order = np.argsort(-impacts, kind="stable")
-    pos_bits = g.bit_rows(1)
+    planes = g.bit_rows()
+    pos, neg = planes
 
     best_size = 0
     best_a: tuple[int, ...] = ()
@@ -196,14 +226,15 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         seed = int(order[rank])
         if impacts[seed] == 0:
             continue
-        row = signs[seed]
-        a0 = np.flatnonzero(row == 1)
-        a0 = np.sort(np.append(a0, seed))
-        b0 = np.flatnonzero(row == -1)
-        a_idx, b_idx = _prune(a0, b0, signs, pos_bits)
+        a_mask = pos[seed].copy()
+        a_mask[seed >> 3] |= 1 << (seed & 7)
+        b_mask = neg[seed]
+        a0 = np.unpackbits(a_mask, bitorder="little").nonzero()[0]
+        b0 = np.unpackbits(b_mask, bitorder="little").nonzero()[0]
+        a_idx, b_idx = _prune(a0, b0, a_mask, b_mask, planes)
         # a joiner needs a nonzero tie to every member, so at least that many
-        cand = np.flatnonzero(impacts >= a_idx.size + b_idx.size)
-        a_fin, b_fin = expand(a_idx, b_idx, g, cand)
+        cand = (impacts >= a_idx.size + b_idx.size).nonzero()[0]
+        a_fin, b_fin = expand(a_idx, b_idx, g, cand, planes=planes)
 
         size = len(a_fin) + len(b_fin)
         if size > best_size:

@@ -29,9 +29,7 @@ def _check_budget(g: SignedGraph) -> None:
 
 def _sign_masks(g: SignedGraph) -> tuple[list[int], list[int]]:
     """Per-node +1 and -1 neighbour sets as Python ints: bit j is node j."""
-    pos, neg = (
-        [int.from_bytes(row.tobytes(), "little") for row in g.bit_rows(sign)] for sign in (1, -1)
-    )
+    pos, neg = ([int.from_bytes(row.tobytes(), "little") for row in plane] for plane in g.bit_rows())
     return pos, neg
 
 

@@ -92,6 +92,23 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
     return float(_pair_u01(seed, stream, keys)[0])
 
 
+def _mapped_zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """A zeroed array in an anonymous mapping of its own, outside malloc's heap.
+
+    Freeing an n x n block that malloc mapped raises glibc's dynamic mmap
+    threshold, so later blocks of that size land on the heap and fragment
+    it, and peak memory then varies from run to run.  A mapping of its own
+    goes back to the system whole when the array is freed.  tracemalloc
+    does not see it.
+    """
+    import mmap
+
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes == 0:  # mmap rejects a zero length
+        return np.zeros(shape, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
 def _symmetric(n: int, dtype: type, cells) -> np.ndarray:
     """The n x n zero-diagonal matrix holding ``cells(keys)`` at (i, j) and (j, i).
 
@@ -100,7 +117,7 @@ def _symmetric(n: int, dtype: type, cells) -> np.ndarray:
     upper triangle (j > i) is written above the diagonal, and its transpose
     added below, where the block's own rows hold zeros from ``np.triu``.
     """
-    out = np.zeros((n, n), dtype=dtype)
+    out = _mapped_zeros((n, n), dtype)
     r0 = 0
     while r0 < n - 1:
         r1 = min(n - 1, r0 + max(1, _BLOCK_CELLS // (n - 1 - r0)))

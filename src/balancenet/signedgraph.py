@@ -55,13 +55,20 @@ class SignedGraph:
     def n(self) -> int:
         return self.signs.shape[0]
 
-    def bit_rows(self, sign: int) -> np.ndarray:
-        """Rows of ``signs == sign`` packed into bytes: node v is bit v % 8 of byte v // 8."""
-        out = np.empty((self.n, (self.n + 7) // 8), dtype=np.uint8)
-        for r in range(0, self.n, ROW_TILE):
-            tile = self.signs[r : r + ROW_TILE] == sign
-            out[r : r + ROW_TILE] = np.packbits(tile, axis=1, bitorder="little")
-        return out
+    def bit_rows(self) -> np.ndarray:
+        """The +1 rows and the -1 rows packed into bits, as planes 0 and 1.
+
+        Node v is bit v % 8 of byte v // 8, and each row is zero-padded to
+        whole 64-bit words.
+        """
+        n = self.n
+        planes = np.zeros((2, n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+        used = (n + 7) // 8
+        for r in range(0, n, ROW_TILE):
+            tile = self.signs[r : r + ROW_TILE]
+            planes[0, r : r + ROW_TILE, :used] = np.packbits(tile == 1, axis=1, bitorder="little")
+            planes[1, r : r + ROW_TILE, :used] = np.packbits(tile == -1, axis=1, bitorder="little")
+        return planes
 
 
 @dataclass(frozen=True)

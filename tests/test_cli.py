@@ -172,6 +172,21 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 3.0 GiB for an array", ""])
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch, message):
+    def no_memory(params):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("balancenet.cli.sample_signed", no_memory)
+    argv = ["gen-random", "--n", "20000", "--alpha-edge", "0.6", "--beta-edge", "0.3", "--rng-seed", "1"]
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_malformed_csv_exit_code(tmp_path, capsys):
     prices = tmp_path / "p.csv"
     prices.write_text("date,AAA\n2020-01-01," + "1" * 200_000 + "\n")

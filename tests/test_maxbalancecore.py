@@ -14,7 +14,7 @@ from balancenet.maxbalancecore import (
 )
 from balancenet.oracle import exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
-from balancenet.signedgraph import SignedGraph, is_scbm, to_signed
+from balancenet.signedgraph import Module, SignedGraph, is_scbm, to_signed
 
 
 def graph_from_edges(n, edges):
@@ -66,8 +66,10 @@ def test_detect_makes_no_full_size_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # packed +1 rows (n * n / 8 bytes) and row-tile temporaries fit; one n x n mask does not
+    # the packed +1 and -1 planes (n * n / 4 bytes) and row-tile temporaries
+    # fit; one n x n mask does not
     assert peak <= 0.5 * n * n
+    assert detect(SignedGraph(signs=np.zeros((0, 0), dtype=np.int8))) == Module.empty()
 
 
 # ---------------------------------------------------------------- pruning
@@ -149,7 +151,47 @@ def test_prune_matches_literal_definition(alpha, beta):
         assert prune_factions(a, b, g) == reference_prune(a, b, g.signs)
 
 
+def reference_expand(a, b, signs, candidates):
+    """The literal admission rule over int8 signs, one distinct candidate at a time."""
+    a, b = sorted(a), sorted(b)
+    for v in sorted(set(candidates)):
+        if all(signs[v, u] == 1 for u in a) and all(signs[v, u] == -1 for u in b):
+            a.append(v)
+        elif all(signs[v, u] == -1 for u in a) and all(signs[v, u] == 1 for u in b):
+            b.append(v)
+    return tuple(sorted(a)), tuple(sorted(b))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
+def test_packed_kernels_match_the_int8_rules(n):
+    # sizes off a multiple of 8 (and 65 past one 64-bit word) check that the
+    # padding bits of the packed rows are never admitted
+    laws = [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (0.3, 0.2)]
+    rng = np.random.default_rng(n)
+    for trial in range(80):
+        alpha, beta = laws[trial % len(laws)]
+        g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=trial))
+        nodes = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        split = int(rng.integers(0, nodes.size + 1))
+        a, b = nodes[:split].tolist(), nodes[split:].tolist()
+        if trial % 5 == 0:
+            a, b = [], a + b
+        elif trial % 5 == 1:
+            a, b = a + b, []
+        pruned = prune_factions(a, b, g)
+        assert pruned == reference_prune(a, b, g.signs)
+        # duplicates, members and untied nodes among the candidates
+        cands = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))).tolist()
+        assert expand(*pruned, g, cands) == reference_expand(*pruned, g.signs, cands)
+        assert expand(a, b, g, cands) == reference_expand(a, b, g.signs, cands)
+
+
 # ---------------------------------------------------------------- expansion
+
+
+def test_expand_from_two_empty_factions_admits_the_first_candidate():
+    g = SignedGraph(signs=np.zeros((3, 3), dtype=np.int8))
+    assert expand([], [], g, [0, 1, 2]) == ((0,), ())
 
 
 def test_expand_joins_positive_faction():

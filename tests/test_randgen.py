@@ -129,8 +129,11 @@ def test_sample_signed_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the int8 result counts however it is allocated: tracemalloc does not see
+    # an anonymous mmap
+    result = n * n
     # the int8 result and small row blocks fit; a full n x n temporary does not
-    assert peak <= 1.5 * n * n
+    assert peak + result <= 1.5 * n * n
 
 
 def test_pair_uniform_rejects_self_pair():

@@ -85,9 +85,13 @@ def test_signed_graph_accepts_empty_and_single_node(n):
 def test_bit_rows_match_the_whole_matrix_packing(n):
     upper = np.triu(np.random.default_rng(n).integers(-1, 2, size=(n, n), dtype=np.int8), 1)
     g = SignedGraph(signs=upper + upper.T)
-    for sign in (1, -1):
+    planes = g.bit_rows()
+    used = (n + 7) // 8
+    assert planes.shape == (2, n, 8 * ((n + 63) // 64))
+    for plane, sign in zip(planes, (1, -1)):
         expected = np.packbits(g.signs == sign, axis=1, bitorder="little")
-        assert np.array_equal(g.bit_rows(sign), expected)
+        assert np.array_equal(plane[:, :used], expected)
+        assert not plane[:, used:].any()
 
 
 @pytest.mark.parametrize(
