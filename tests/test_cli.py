@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from balancenet.cli import EXIT_BUDGET, EXIT_INPUT, main
+from balancenet.corrnet import load_validated
 
 
 def write_price_csv(path, n_days=30):
@@ -51,6 +52,53 @@ def test_build_net_detect_stats_pipeline(tmp_path, capsys):
     assert set(stats) == {"xi_plus", "xi_minus", "mu_plus", "mu_minus", "lscbm_size", "varsigma"}
     assert stats["lscbm_size"] == report["size"]
     capsys.readouterr()
+
+
+def test_reports_carry_the_sigma_given(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    main(["plant", "--n", "14", "--n-a", "3", "--n-b", "3", "--sigma", "0.5", "--rng-seed", "5", "--out", str(inst)])
+    capsys.readouterr()
+    texts = {}
+    for command in ("detect", "oracle"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--net", str(inst), "--sigma", "0.5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{command}: sigma=0.5 size=6 -> {out}\n"
+        texts[command] = out.read_text()
+    assert texts["detect"] == texts["oracle"]
+    assert json.loads(texts["detect"]) == {
+        "sigma": 0.5,
+        "size": 6,
+        "nodes": [1, 3, 7, 9, 10, 13],
+        "faction_a": [1, 7, 13],
+        "faction_b": [3, 9, 10],
+        "all_positive": False,
+    }
+
+    sweep = tmp_path / "sweep.json"
+    argv = ["sigma-sweep", "--net", str(inst), "--sigma-min", "0.3", "--sigma-max", "0.8", "--steps", "6"]
+    assert main(argv + ["--out", str(sweep)]) == 0
+    rows = json.loads(sweep.read_text())
+    assert [row["sigma"] for row in rows] == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    assert [row["size"] for row in rows] == [6] * 6
+    capsys.readouterr()
+
+
+def _printed_edges(printed):
+    return int(printed.split(" edges=")[1].split()[0])
+
+
+def test_printed_edge_counts_match_the_upper_triangle(tmp_path, capsys):
+    net = tmp_path / "net"
+    main(["build-net", "--in", str(write_price_csv(tmp_path / "prices.csv")), "--out", str(net)])
+    printed = capsys.readouterr().out
+    values = load_validated(net).values
+    assert _printed_edges(printed) == np.count_nonzero(np.triu(values, k=1)) > 0
+
+    g = tmp_path / "g"
+    main(["gen-random", "--n", "30", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "7", "--out", str(g)])
+    printed = capsys.readouterr().out
+    values = load_validated(g).values
+    assert _printed_edges(printed) == np.count_nonzero(np.triu(values, k=1)) > 0
 
 
 def test_stats_tsv_column_order(tmp_path, capsys):
