@@ -99,7 +99,8 @@ def _cmd_build_net(args: argparse.Namespace) -> int:
         corr, t_len=returns.t_len, alpha_level=args.alpha_level, tickers=table.tickers
     )
     save_validated(validated, args.out)
-    edges = int(np.count_nonzero(np.triu(validated.values, k=1)))
+    # symmetric with a unit diagonal, so each edge is counted twice
+    edges = (int(np.count_nonzero(validated.values)) - validated.n) // 2
     print(
         f"build-net: n={validated.n} t_len={returns.t_len} "
         f"alpha_level={args.alpha_level} edges={edges} "
@@ -115,7 +116,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.module:
         module = _load_module(Path(args.module), v.n)
     else:
-        module = detect(to_signed(v, args.sigma), DetectConfig(sigma=args.sigma, max_seeds=args.max_seeds))
+        module = detect(to_signed(v, args.sigma), DetectConfig(max_seeds=args.max_seeds))
     stats = network_stats(v, module)
     _write_report(asdict(stats), Path(args.out), args.format)
     print(
@@ -127,8 +128,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     v = load_validated(args.net)
-    cfg = DetectConfig(sigma=args.sigma, max_seeds=args.max_seeds)
-    module = detect(to_signed(v, args.sigma), cfg)
+    module = detect(to_signed(v, args.sigma), DetectConfig(max_seeds=args.max_seeds))
     _write_report(module.to_report(), Path(args.out), args.format)
     print(f"detect: sigma={args.sigma} size={module.size} -> {args.out}")
     return EXIT_OK
@@ -141,7 +141,7 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
     )
     g = sample_signed(params)
     save_validated(_signed_as_matrix(g), args.out)
-    edges = int(np.count_nonzero(np.triu(g.signs, k=1)))
+    edges = int(np.count_nonzero(g.signs)) // 2
     print(
         f"gen-random: n={args.n} alpha_edge={args.alpha_edge} "
         f"beta_edge={args.beta_edge} edges={edges} rng-seed={seed} -> {args.out}"
@@ -169,8 +169,7 @@ def _cmd_plant(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     v = load_validated(args.net)
-    g = to_signed(v, args.sigma)
-    module = exact_lscbm(g, sigma=args.sigma)
+    module = exact_lscbm(to_signed(v, args.sigma))
     _write_report(module.to_report(), Path(args.out), args.format)
     print(f"oracle: sigma={args.sigma} size={module.size} -> {args.out}")
     return EXIT_OK
@@ -238,9 +237,7 @@ def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
     rows = []
     for sigma in sigmas:
         sigma = float(round(sigma, 12))
-        module = detect(
-            to_signed(v, sigma), DetectConfig(sigma=sigma, max_seeds=args.max_seeds)
-        )
+        module = detect(to_signed(v, sigma), DetectConfig(max_seeds=args.max_seeds))
         rows.append(
             {"sigma": sigma, "size": module.size, "varsigma": module.size / v.n}
         )

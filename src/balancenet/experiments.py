@@ -174,7 +174,7 @@ def run_accuracy(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = DetectConfig(sigma=sigma, max_seeds=max_seeds)
+    cfg = DetectConfig(max_seeds=max_seeds)
 
     hits = 0
     runtime = 0.0

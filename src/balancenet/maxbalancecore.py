@@ -33,23 +33,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
+from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
 
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Detection parameters: the threshold label and the seed budget."""
+    """Detection parameters: the seed budget."""
 
-    sigma: float = DEFAULT_SIGMA
     max_seeds: int = DEFAULT_MAX_SEEDS
 
     def __post_init__(self) -> None:
-        # detect never tests edges against sigma: the graph is already
-        # thresholded, and sigma only labels the returned module.
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError("sigma must lie in (0, 1]")
         if self.max_seeds < 1:
             raise ValueError("max_seeds must be >= 1")
 
@@ -242,5 +237,5 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
             best_a, best_b = a_fin, b_fin
 
     if best_size < MIN_MODULE_SIZE:
-        return Module.empty(cfg.sigma)
-    return Module(best_a, best_b, cfg.sigma).canonical()
+        return Module.empty(g.sigma)
+    return Module(best_a, best_b, g.sigma).canonical()

@@ -42,7 +42,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def exact_lscbm(g: SignedGraph, sigma: float | None = None) -> Module:
+def exact_lscbm(g: SignedGraph) -> Module:
     """Maximum-cardinality balanced module, or the empty module if none.
 
     Ties are broken toward the lexicographically smallest node set.  Only
@@ -84,8 +84,8 @@ def exact_lscbm(g: SignedGraph, sigma: float | None = None) -> Module:
         grow(start, 0, pos[v0] & above, neg[v0] & above, 1)
 
     if best_size < MIN_MODULE_SIZE:
-        return Module.empty(sigma)
-    return Module(_bits(best_split[0]), _bits(best_split[1]), sigma).canonical()
+        return Module.empty(g.sigma)
+    return Module(_bits(best_split[0]), _bits(best_split[1]), g.sigma).canonical()
 
 
 def count_scbm(g: SignedGraph, s: int) -> int:

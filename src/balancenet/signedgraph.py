@@ -27,11 +27,15 @@ ROW_TILE = 256
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Symmetric {-1, 0, +1} adjacency with a zero diagonal."""
+    """Symmetric {-1, 0, +1} adjacency with a zero diagonal, cut at ``sigma`` by
+    :func:`to_signed`; ``sigma`` is None for sampled or hand-built graphs."""
 
     signs: np.ndarray
+    sigma: float | None = None
 
     def __post_init__(self) -> None:
+        if self.sigma is not None and not 0.0 < self.sigma <= 1.0:
+            raise ValueError("sigma must lie in (0, 1]")
         signs = np.asarray(self.signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
             raise ValueError("signs must be a square matrix")
@@ -73,15 +77,15 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class Module:
-    """A detected balanced module: two disjoint factions plus the threshold used.
+    """A detected balanced module: two disjoint factions plus a threshold label.
 
-    Factions are stored as sorted tuples.  ``sigma`` is None when the module
-    came from a raw signed graph with no strength threshold attached.
+    Factions are stored as sorted tuples.  ``sigma`` is the threshold of the
+    graph the module was found in, None when that graph was never thresholded.
     """
 
     faction_a: tuple[int, ...]
     faction_b: tuple[int, ...]
-    sigma: float | None = DEFAULT_SIGMA
+    sigma: float | None = None
 
     def __post_init__(self) -> None:
         a = tuple(sorted(self.faction_a))
@@ -92,7 +96,7 @@ class Module:
             raise ValueError("factions must be disjoint")
 
     @classmethod
-    def empty(cls, sigma: float | None = DEFAULT_SIGMA) -> "Module":
+    def empty(cls, sigma: float | None = None) -> "Module":
         return cls((), (), sigma)
 
     @property
@@ -158,7 +162,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
         raise ValueError("sigma must lie in (0, 1]")
     signs = (v.values >= sigma).astype(np.int8) - (v.values <= -sigma)
     np.fill_diagonal(signs, 0)
-    return SignedGraph(signs=signs)
+    return SignedGraph(signs=signs, sigma=sigma)
 
 
 def is_balanced_triangle(s1: int, s2: int, s3: int) -> bool:

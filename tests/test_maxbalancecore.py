@@ -29,11 +29,19 @@ def graph_from_edges(n, edges):
 
 def test_detect_config_validation():
     with pytest.raises(ValueError):
-        DetectConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        DetectConfig(sigma=1.2)
-    with pytest.raises(ValueError):
         DetectConfig(max_seeds=0)
+
+
+@pytest.mark.parametrize("find", [detect, exact_lscbm], ids=["detect", "exact_lscbm"])
+def test_module_carries_the_graphs_sigma(find):
+    for seed in range(3):
+        planted = to_signed(plant_lscbm(14, 3, 3, 0.5, seed).matrix, 0.5)
+        module = find(planted)
+        assert module.sigma == 0.5
+        assert module.to_report() == exact_lscbm(planted).to_report()
+
+        sampled = sample_signed(SignedModelParams(n=12, alpha_edge=0.6, beta_edge=0.3, seed=seed))
+        assert find(sampled).sigma is None
 
 
 # ---------------------------------------------------------------- impacts

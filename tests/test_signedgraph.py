@@ -64,6 +64,10 @@ def test_signed_graph_validation():
         SignedGraph(signs=np.array([[0, 2], [2, 0]], dtype=np.int8))
     with pytest.raises(ValueError, match="square"):
         SignedGraph(signs=np.zeros((2, 3), dtype=np.int8))
+    for sigma in (0.0, 1.2):
+        with pytest.raises(ValueError, match="sigma"):
+            SignedGraph(signs=np.zeros((2, 2), dtype=np.int8), sigma=sigma)
+    assert SignedGraph(signs=np.zeros((2, 2), dtype=np.int8), sigma=None).sigma is None
 
 
 @pytest.mark.parametrize("n", [257, 513])
