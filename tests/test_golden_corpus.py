@@ -80,11 +80,11 @@ FAMILIES = {
 }
 
 GOLDEN = {
-    "general/detect": "c453de01581261fad6db43addba50c04dc22429ae66d82eab40cb1ea5f61a2a1",
-    "dense/detect": "85b7a09cef98271484ebcf7141baee7fb413255c3c6c628c4e7f4e57850cde60",
-    "negative/detect": "747431cbd2048d3a5ec6fd716af71dad3d7d3f6568e9b17104674e63fccd2249",
+    "general/detect": "2dd1b873d7ae0c8bb176a93911ab81643fae3066e3cd4e4c2e7ada646c4eb05a",
+    "dense/detect": "488a3a0e7dbe799056443aedc107f516b93c14b7aee093b925d69f0d76f91807",
+    "negative/detect": "88e50c449f850ae49ad538ea6e6f7370d59f6582bda0b7433ef0bd64b3a85b9b",
     "planted/detect": "de8faef7683de20597a2e568be9889ec557b49595eb6fc7dd55e268a84408220",
-    "small/detect": "b564bdc12485085e3c31dc9039faa599b66e295e96019804bb3234c04fb51799",
+    "small/detect": "ccf2259a79efeb346775a746c74606c2eb719b3f93d79919e4e1a40b5a0a3944",
     "small/exact_lscbm": "e37ce65481e8d97b0fdf583dbac45518d928150fc90e799e9e1c05a4a1b4770a",
 }
 
