@@ -38,7 +38,8 @@ def test_module_carries_the_graphs_sigma(find):
         planted = to_signed(plant_lscbm(14, 3, 3, 0.5, seed).matrix, 0.5)
         module = find(planted)
         assert module.sigma == 0.5
-        assert module.to_report() == exact_lscbm(planted).to_report()
+        other = exact_lscbm if find is detect else detect
+        assert module.to_report() == other(planted).to_report()
 
         sampled = sample_signed(SignedModelParams(n=12, alpha_edge=0.6, beta_edge=0.3, seed=seed))
         assert find(sampled).sigma is None
