@@ -1,11 +1,12 @@
 """Golden corpus: reports and generated bytes on fixed seeded inputs.
 
-Module node sets are the contract a refactor of ``detect`` or of the oracle
-must keep, the generators' and the threshold's array bytes are the contract
-a refactor of ``randgen`` or ``to_signed`` must keep, and the simulation
-reports are the contract a refactor of ``experiments`` must keep.  Each
-family below hashes what it builds; the literals were computed once and must only
-change together with a deliberate change of behaviour.
+Module node sets and the oracle's per-size counts are the contract a
+refactor of ``detect`` or of the oracle must keep, the generators' and the
+threshold's array bytes are the contract a refactor of ``randgen`` or
+``to_signed`` must keep, and the simulation reports are the contract a
+refactor of ``experiments`` must keep.  Each family below hashes what it
+builds; the literals were computed once and must only change together with
+a deliberate change of behaviour.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import pytest
 from balancenet.corrnet import ValidatedCorrMatrix
 from balancenet.experiments import regime_edge_law, run_accuracy, run_nonempty_check, run_scaling
 from balancenet.maxbalancecore import detect
-from balancenet.oracle import exact_lscbm
+from balancenet.oracle import count_scbm, exact_lscbm
 from balancenet.randgen import SignedModelParams, derive_seed, plant_lscbm, sample_signed
 from balancenet.signedgraph import to_signed
 
@@ -86,6 +87,7 @@ GOLDEN = {
     "planted/detect": "de8faef7683de20597a2e568be9889ec557b49595eb6fc7dd55e268a84408220",
     "small/detect": "ccf2259a79efeb346775a746c74606c2eb719b3f93d79919e4e1a40b5a0a3944",
     "small/exact_lscbm": "e37ce65481e8d97b0fdf583dbac45518d928150fc90e799e9e1c05a4a1b4770a",
+    "small/count_scbm": "51512ddda13c768a9b6e829b7f51e5501560e1faa9345d249f1f883a5e0cf869",
 }
 
 
@@ -95,7 +97,11 @@ def test_golden_corpus_reports(family):
     graphs = build()
     assert _digest(detect(g).to_report() for g in graphs) == GOLDEN[f"{family}/detect"]
     if with_oracle:
-        assert _digest(exact_lscbm(g).to_report() for g in graphs) == GOLDEN[f"{family}/exact_lscbm"]
+        best = [exact_lscbm(g) for g in graphs]
+        assert _digest(b.to_report() for b in best) == GOLDEN[f"{family}/exact_lscbm"]
+        # every size from 3 up to one past the optimum, where the count is 0
+        counts = [[count_scbm(g, s) for s in range(3, b.size + 2)] for g, b in zip(graphs, best)]
+        assert _digest(counts) == GOLDEN[f"{family}/count_scbm"]
 
 
 # ---------------------------------------------------------------- generated bytes
