@@ -1,12 +1,14 @@
 """Exact largest-module computation and per-size counts on small graphs.
 
-Subsets are enumerated as bitmask DFS over canonical faction assignments:
+One bitmask DFS, ``_search``, enumerates canonical faction assignments:
 the lowest node of a candidate module is anchored in faction A, and nodes
 are added in ascending order, each constrained to be +1 to its own faction
 and -1 to the other.  This visits every complete balanced node set exactly
-once, in lexicographic order, so the first maximum found is the
-lexicographically smallest.  A branch-and-bound cut on the remaining
-candidate count keeps dense instances (where modules are huge) tractable.
+once, in lexicographic order, and cuts a branch once its size plus its
+remaining candidates cannot pass a floor.  ``exact_lscbm`` starts the floor
+at MIN_MODULE_SIZE - 1 and raises it to each new best, so it keeps the
+first maximum found, the lexicographically smallest.  ``count_scbm(g, s)``
+holds the floor at s - 1, caps the depth at s and counts the sets of size s.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ def _check_budget(g: SignedGraph) -> None:
         )
 
 
-def _sign_masks(g: SignedGraph) -> tuple[list[int], list[int]]:
-    """Per-node +1 and -1 neighbour sets as Python ints: bit j is node j."""
-    pos, neg = ([int.from_bytes(row.tobytes(), "little") for row in plane] for plane in g.bit_rows())
-    return pos, neg
-
-
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -42,24 +38,25 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def exact_lscbm(g: SignedGraph) -> Module:
-    """Maximum-cardinality balanced module, or the empty module if none.
+def _search(g: SignedGraph, floor: int, cap: int, climb: bool) -> tuple[int, int, int]:
+    """The one DFS: ``(hits, a_mask, b_mask)`` over the balanced sets it reaches.
 
-    Ties are broken toward the lexicographically smallest node set.  Only
-    graphs with at most MAX_ORACLE_NODES nodes are accepted.
+    A set of size k counts as a hit when k > floor, and ``(a_mask, b_mask)``
+    is the split of the last hit.  With ``climb`` the floor rises to each
+    hit's size, so hits are strict new bests.  No set grows past ``cap``
+    nodes, and a branch is cut once ``size + remaining <= floor``.
     """
-    _check_budget(g)
-    n = g.n
-    pos, neg = _sign_masks(g)
-
-    best_size = 0
-    best_split = (0, 0)
+    # per-node +1 and -1 neighbour sets as Python ints: bit j is node j
+    pos, neg = ([int.from_bytes(row.tobytes(), "little") for row in plane] for plane in g.bit_rows())
+    hits = 0
+    split = (0, 0)
 
     def grow(a_mask: int, b_mask: int, can_a: int, can_b: int, size: int) -> None:
-        nonlocal best_size, best_split
+        nonlocal floor, hits, split
+        k = size + 1  # the size of each set made here
         cands = can_a | can_b
         while cands:
-            if size + cands.bit_count() <= best_size:
+            if size + cands.bit_count() <= floor:
                 return
             low = cands & -cands
             cands ^= low
@@ -73,19 +70,32 @@ def exact_lscbm(g: SignedGraph) -> Module:
                 na, nb = a_mask, b_mask | low
                 next_a = can_a & neg[v] & above
                 next_b = can_b & pos[v] & above
-            if size + 1 >= MIN_MODULE_SIZE and size + 1 > best_size:
-                best_size = size + 1
-                best_split = (na, nb)
-            grow(na, nb, next_a, next_b, size + 1)
+            if k > floor:
+                hits += 1
+                split = (na, nb)
+                if climb:
+                    floor = k
+            if k < cap:
+                grow(na, nb, next_a, next_b, k)
 
-    for v0 in range(n):
+    for v0 in range(g.n):
         start = 1 << v0
         above = -(start << 1)
         grow(start, 0, pos[v0] & above, neg[v0] & above, 1)
+    return hits, split[0], split[1]
 
-    if best_size < MIN_MODULE_SIZE:
+
+def exact_lscbm(g: SignedGraph) -> Module:
+    """Maximum-cardinality balanced module, or the empty module if none.
+
+    Ties are broken toward the lexicographically smallest node set.  Only
+    graphs with at most MAX_ORACLE_NODES nodes are accepted.
+    """
+    _check_budget(g)
+    _, a_mask, b_mask = _search(g, MIN_MODULE_SIZE - 1, g.n, climb=True)
+    if not a_mask:
         return Module.empty(g.sigma)
-    return Module(_bits(best_split[0]), _bits(best_split[1]), g.sigma).canonical()
+    return Module(_bits(a_mask), _bits(b_mask), g.sigma).canonical()
 
 
 def count_scbm(g: SignedGraph, s: int) -> int:
@@ -93,33 +103,6 @@ def count_scbm(g: SignedGraph, s: int) -> int:
     _check_budget(g)
     if s < MIN_MODULE_SIZE:
         raise ValueError(f"module size must be >= {MIN_MODULE_SIZE}")
-    n = g.n
-    if s > n:
+    if s > g.n:
         return 0
-    pos, neg = _sign_masks(g)
-    count = 0
-
-    def grow(can_a: int, can_b: int, size: int) -> None:
-        nonlocal count
-        if size == s:
-            count += 1
-            return
-        cands = can_a | can_b
-        while cands:
-            if size + cands.bit_count() < s:
-                return
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            above = -(low << 1)
-            if can_a & low:
-                grow(can_a & pos[v] & above, can_b & neg[v] & above, size + 1)
-            else:
-                grow(can_a & neg[v] & above, can_b & pos[v] & above, size + 1)
-
-    for v0 in range(n):
-        start = 1 << v0
-        above = -(start << 1)
-        grow(pos[v0] & above, neg[v0] & above, 1)
-    return count
-
+    return _search(g, s - 1, s, climb=False)[0]

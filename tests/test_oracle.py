@@ -152,9 +152,9 @@ def test_exact_size_monotone_under_edge_deletion():
 
 
 @st.composite
-def sign_graphs(draw):
+def sign_graphs(draw, max_n=14):
     """Arbitrary symmetric sign matrices, each pair drawn from {-1, 0, +1}."""
-    n = draw(st.integers(3, 14))
+    n = draw(st.integers(3, max_n))
     pairs = n * (n - 1) // 2
     upper = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=pairs, max_size=pairs))
     signs = np.zeros((n, n), dtype=np.int8)
@@ -174,3 +174,14 @@ def test_detect_against_the_exact_optimum(g):
         assert is_scbm(g, best.nodes)
         assert count_scbm(g, best.size) >= 1
     assert count_scbm(g, max(best.size + 1, 3)) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(sign_graphs(max_n=9))
+def test_oracle_against_brute_force(g):
+    # brute_force_best keeps the first largest subset in combinations order,
+    # which is the lexicographically smallest
+    best_nodes, counts = brute_force_best(g)
+    assert exact_lscbm(g).nodes == best_nodes
+    for s in range(3, g.n + 2):
+        assert count_scbm(g, s) == counts.get(s, 0)
