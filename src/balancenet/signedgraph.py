@@ -25,10 +25,11 @@ MIN_MODULE_SIZE = 3
 ROW_TILE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Symmetric {-1, 0, +1} adjacency with a zero diagonal, cut at ``sigma`` by
-    :func:`to_signed`; ``sigma`` is None for sampled or hand-built graphs."""
+    :func:`to_signed`; ``sigma`` is None for sampled or hand-built graphs.
+    Graphs compare and hash by identity."""
 
     signs: np.ndarray
     sigma: float | None = None

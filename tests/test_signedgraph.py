@@ -85,6 +85,16 @@ def test_signed_graph_accepts_empty_and_single_node(n):
     assert SignedGraph(signs=np.zeros((n, n), dtype=np.int8)).n == n
 
 
+def test_signed_graph_compares_and_hashes_by_identity():
+    g = SignedGraph(signs=np.zeros((3, 3), dtype=np.int8))
+    copy = SignedGraph(signs=g.signs.copy())
+    assert g == g
+    assert g != copy
+    assert hash(g) == hash(g)
+    assert {g, copy} == {copy, g}
+    assert len({g, copy}) == 2
+
+
 @pytest.mark.parametrize("n", [0, 1, 9, 256, 257, 513])
 def test_bit_rows_match_the_whole_matrix_packing(n):
     upper = np.triu(np.random.default_rng(n).integers(-1, 2, size=(n, n), dtype=np.int8), 1)
