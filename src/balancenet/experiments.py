@@ -273,20 +273,16 @@ def run_nonempty_check(
     beta_edge: float,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    method: str = "auto",
 ) -> NonemptyReport:
     """Fraction of sampled graphs holding a module of size >= 3.
 
-    Uses exact enumeration when the graph fits the oracle budget
-    (n <= MAX_ORACLE_NODES); otherwise the detector provides a lower bound
-    on existence.
+    The method follows the oracle budget: exact enumeration ("oracle") when
+    n <= MAX_ORACLE_NODES, otherwise the detector ("detect"), which gives a
+    lower bound on existence.  The report names the method used.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if method == "auto":
-        method = "oracle" if n <= MAX_ORACLE_NODES else "detect"
-    if method not in ("oracle", "detect"):
-        raise ValueError(f"unknown method {method!r}")
+    method = "oracle" if n <= MAX_ORACLE_NODES else "detect"
 
     hits = 0
     for t in range(trials):

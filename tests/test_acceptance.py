@@ -200,20 +200,19 @@ def test_criterion_9_validation_equivalence():
 
 
 def test_criterion_10_existence_probe():
-    frac_50 = run_nonempty_check(
-        50, 0.3, 0.3, trials=100, seed=derive_seed(MASTER_SEED, 10), method="detect"
-    ).fraction
+    rep_50 = run_nonempty_check(50, 0.3, 0.3, trials=100, seed=derive_seed(MASTER_SEED, 10))
     target = 0.1**3
     trials = 10_000
-    frac_3 = run_nonempty_check(
-        3, 0.1, 0.0, trials=trials, seed=derive_seed(MASTER_SEED, 11), method="oracle"
-    ).fraction
+    rep_3 = run_nonempty_check(3, 0.1, 0.0, trials=trials, seed=derive_seed(MASTER_SEED, 11))
+    frac_50, frac_3 = rep_50.fraction, rep_3.fraction
     band = 3.0 * math.sqrt(target * (1 - target) / trials)
-    ok = frac_50 == 1.0 and abs(frac_3 - target) <= band
+    methods_ok = rep_50.method == "detect" and rep_3.method == "oracle"
+    ok = methods_ok and frac_50 == 1.0 and abs(frac_3 - target) <= band
     report(
         "criterion 10 existence probe",
         ok,
-        f"fraction(N=50)={frac_50} (need 1.0); fraction(n=3)={frac_3:.4f} "
+        f"fraction(N=50)={frac_50} by {rep_50.method} (need 1.0, detect); "
+        f"fraction(n=3)={frac_3:.4f} by {rep_3.method} (oracle) "
         f"vs {target} within +/-{band:.6f}",
     )
 

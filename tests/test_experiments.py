@@ -166,11 +166,6 @@ def test_nonempty_method_switches_with_size():
     assert large.method == "detect"
 
 
-def test_nonempty_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        run_nonempty_check(10, 0.5, 0.2, trials=2, seed=0, method="guess")
-
-
 # ---------------------------------------------------------------- multiplicity
 
 

@@ -188,8 +188,8 @@ def _harness_reports():
         run_scaling("dense", [60, 200], trials=4, seed=CORPUS_SEED),
         run_scaling("negative", [100, 400], trials=4, seed=CORPUS_SEED),
         run_accuracy(300, 20, 30, trials=3, seed=CORPUS_SEED),
-        run_nonempty_check(15, 0.1, 0.1, trials=8, seed=CORPUS_SEED, method="oracle"),
-        run_nonempty_check(40, 0.06, 0.04, trials=8, seed=CORPUS_SEED, method="detect"),
+        run_nonempty_check(15, 0.1, 0.1, trials=8, seed=CORPUS_SEED),
+        run_nonempty_check(40, 0.06, 0.04, trials=8, seed=CORPUS_SEED),
     ]
     dicts = [dataclasses.asdict(r) for r in reports]
     for d in dicts:
