@@ -41,7 +41,7 @@ from balancenet.ingest import load_prices, log_returns
 from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect
 from balancenet.oracle import EnumerationBudgetError, exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
-from balancenet.signedgraph import DEFAULT_SIGMA, Module, SignedGraph, to_signed
+from balancenet.signedgraph import DEFAULT_SIGMA, Module, to_signed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,12 +76,6 @@ def _write_report(obj, out: Path, fmt: str) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     text = _dump_json(obj) if fmt == "json" else _dump_tsv(obj)
     _atomic_write(out, text)
-
-
-def _signed_as_matrix(g: SignedGraph) -> ValidatedCorrMatrix:
-    values = g.signs.astype(np.float64)
-    np.fill_diagonal(values, 1.0)
-    return ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
 
 
 def _load_module(path: Path, n: int) -> Module:
@@ -140,7 +134,8 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
         n=args.n, alpha_edge=args.alpha_edge, beta_edge=args.beta_edge, seed=seed
     )
     g = sample_signed(params)
-    save_validated(_signed_as_matrix(g), args.out)
+    # the writer reads only the upper triangle, so the int8 signs go as they are
+    save_validated(ValidatedCorrMatrix(values=g.signs, t_len=None, alpha_level=None), args.out)
     edges = int(np.count_nonzero(g.signs)) // 2
     print(
         f"gen-random: n={args.n} alpha_edge={args.alpha_edge} "

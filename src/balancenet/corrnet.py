@@ -57,7 +57,10 @@ class ValidatedCorrMatrix:
 
     Every off-diagonal entry is either 0 or the exact Pearson value it came
     from; the diagonal is 1.  ``t_len`` and ``alpha_level`` are None for
-    synthetic matrices that never went through the significance test.
+    synthetic matrices that never went through the significance test.  The
+    ``gen-random`` command hands :func:`save_validated` a signed graph's
+    int8 {-1, 0, +1} matrix (zero diagonal) as ``values``, which writes it
+    as the weights -1.0 and 1.0 without a float64 copy.
     """
 
     values: np.ndarray
@@ -332,7 +335,9 @@ def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
     """Write a sparse TSV edge list plus a JSON sidecar.
 
     Edge rows are ``i<TAB>j<TAB>weight`` with i < j and zero-based indices,
-    in ascending (i, j) order; weights use repr so they round-trip
+    in ascending (i, j) order; only the upper triangle of ``v.values`` is
+    read.  Each row's kept entries are cast to float64 (integer sign
+    matrices are accepted) and written with repr, so they round-trip
     bit-exactly.  The rows are written one node row at a time, so only one
     row's text is held in memory.  The sidecar holds
     {n, t_len, alpha_level, tickers}.  Both files are replaced atomically.
@@ -344,13 +349,8 @@ def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
         for i in range(n - 1):
             row = v.values[i, i + 1 :]
             cols = np.flatnonzero(row)
-            if cols.size:
-                fh.write(
-                    "".join(
-                        f"{i}\t{j}\t{w!r}\n"
-                        for j, w in zip((cols + (i + 1)).tolist(), row[cols].tolist())
-                    )
-                )
+            weights = row[cols].astype(np.float64, copy=False).tolist()
+            fh.write("".join(f"{i}\t{j}\t{w!r}\n" for j, w in zip((cols + (i + 1)).tolist(), weights)))
     meta = {
         "n": n,
         "t_len": v.t_len,

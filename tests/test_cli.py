@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from balancenet.cli import EXIT_BUDGET, EXIT_INPUT, main
-from balancenet.corrnet import load_validated
+from balancenet.corrnet import ValidatedCorrMatrix, load_validated, save_validated
+from balancenet.randgen import SignedModelParams, sample_signed
 
 
 def write_price_csv(path, n_days=30):
@@ -125,6 +127,32 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     main(args + ["--out", str(g1)])
     main(args + ["--out", str(g2)])
     assert (g1 / "edges.tsv").read_bytes() == (g2 / "edges.tsv").read_bytes()
+    capsys.readouterr()
+
+
+def test_gen_random_writes_the_float_matrix_bytes(tmp_path, capsys):
+    args = ["gen-random", "--n", "300", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "7"]
+    main(args + ["--out", str(tmp_path / "net")])
+    # the reference goes through a float64 copy with a unit diagonal
+    values = sample_signed(SignedModelParams(n=300, alpha_edge=0.5, beta_edge=0.2, seed=7)).signs.astype(float)
+    np.fill_diagonal(values, 1.0)
+    save_validated(ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None), tmp_path / "ref")
+    for name in ("edges.tsv", "meta.json"):
+        assert (tmp_path / "net" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_gen_random_makes_no_float_copy(tmp_path, capsys):
+    n = 2000
+    args = ["gen-random", "--n", str(n), "--alpha-edge", "0.1", "--beta-edge", "0.05", "--rng-seed", "3"]
+    tracemalloc.start()
+    try:
+        main(args + ["--out", str(tmp_path / "net")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sample_signed's temporaries fit (about 0.45 bytes per cell); one float64 copy does not
+    assert peak <= 2 * n * n
     capsys.readouterr()
 
 
