@@ -206,6 +206,13 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     least as many ties as the pruned module has members is offered to
     :func:`expand`, whose alignment test rejects members and untied nodes.
     Returns the empty module when nothing of size >= MIN_MODULE_SIZE is found.
+
+    The loop stops early without changing the result.  A seed is never
+    pruned: its +1 row is A's start and its -1 row B's, so it is +1 to every
+    later member of A and -1 to all of B.  Every joiner needs a nonzero tie
+    to it, so its module has at most ``impacts[seed] + 1`` nodes.  Seeds
+    come in descending impact and a tie keeps the earlier module, so the
+    first seed with ``impacts[seed] + 1 <= best`` and every later one lose.
     """
     if cfg is None:
         cfg = DetectConfig()
@@ -219,8 +226,9 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     best_b: tuple[int, ...] = ()
     for rank in range(min(cfg.max_seeds, g.n)):
         seed = int(order[rank])
-        if impacts[seed] == 0:
-            continue
+        # see the docstring: no later seed can beat the best
+        if impacts[seed] == 0 or impacts[seed] + 1 <= best_size:
+            break
         a_mask = pos[seed].copy()
         a_mask[seed >> 3] |= 1 << (seed & 7)
         b_mask = neg[seed]
