@@ -51,10 +51,13 @@ class SignedGraph:
         object.__setattr__(self, "signs", signs)
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        # row tiles against column tiles: a full signs.T reads with a stride of n bytes
+        # square tiles against their mirrors: a transposed read strides n bytes
+        # per element, and a small tile keeps those reads in cache
         for r in range(0, signs.shape[0], ROW_TILE):
-            if not np.array_equal(signs[r : r + ROW_TILE, r:], signs[r:, r : r + ROW_TILE].T):
-                raise ValueError("signs must be symmetric")
+            for c in range(r, signs.shape[0], ROW_TILE):
+                tile = signs[r : r + ROW_TILE, c : c + ROW_TILE]
+                if not np.array_equal(tile, signs[c : c + ROW_TILE, r : r + ROW_TILE].T):
+                    raise ValueError("signs must be symmetric")
 
     @property
     def n(self) -> int:

@@ -70,10 +70,13 @@ def test_signed_graph_validation():
     assert SignedGraph(signs=np.zeros((2, 2), dtype=np.int8), sigma=None).sigma is None
 
 
-@pytest.mark.parametrize("n", [257, 513])
+@pytest.mark.parametrize("n", [257, 513, 600])
 def test_signed_graph_rejects_one_broken_mirror_pair(n):
     g = random_graph(np.random.default_rng(n), n)
-    for i, j in [(0, n - 1), (n - 1, 0), (255, 256), (256, 255), (n - 2, n - 1)]:
+    pairs = [(0, n - 1), (n - 1, 0), (255, 256), (256, 255), (n - 2, n - 1)]
+    if n > 512:  # in the second row of tiles, off its diagonal tile
+        pairs += [(300, n - 1), (n - 1, 300)]
+    for i, j in pairs:
         signs = g.signs.copy()
         signs[i, j] = 0 if signs[i, j] else 1
         with pytest.raises(ValueError, match="symmetric"):
