@@ -135,10 +135,10 @@ def reference_prune(a, b, signs):
     def intra(faction):
         alive = sorted(faction)
         while True:
-            bad = [u for u in alive if any(signs[u, v] != 1 for v in alive if v != u)]
-            if not bad:
+            bad = next((u for u in alive if any(signs[u, v] != 1 for v in alive if v != u)), None)
+            if bad is None:
                 return alive
-            alive.remove(bad[0])
+            alive.remove(bad)
 
     a, b = intra(a), intra(b)
     if a and b:
@@ -193,6 +193,50 @@ def test_packed_kernels_match_the_int8_rules(n):
         cands = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))).tolist()
         assert expand(*pruned, g, cands) == reference_expand(*pruned, g.signs, cands)
         assert expand(a, b, g, cands) == reference_expand(a, b, g.signs, cands)
+
+
+def reference_seed_modules(g, max_seeds):
+    """The seed loop, seed by seed, on the literal prune and admission rules.
+
+    Returns each seed's (A, B) in seed order, with the degree screen on the
+    candidates and zero-impact seeds skipped; no seed is cut short.
+    """
+    impacts = (g.signs != 0).sum(axis=1)
+    order = np.argsort(-impacts, kind="stable")
+    modules = []
+    for seed in order[: min(max_seeds, g.n)].tolist():
+        if impacts[seed] == 0:
+            continue
+        a0 = [seed] + np.flatnonzero(g.signs[seed] == 1).tolist()
+        b0 = np.flatnonzero(g.signs[seed] == -1).tolist()
+        a, b = reference_prune(a0, b0, g.signs)
+        cand = np.flatnonzero(impacts >= len(a) + len(b)).tolist()
+        modules.append(reference_expand(a, b, g.signs, cand))
+    return modules
+
+
+def reference_detect(modules):
+    """The first largest of the seeds' modules, as :func:`detect` reports it."""
+    best = max(modules, key=lambda ab: len(ab[0]) + len(ab[1]), default=((), ()))
+    if len(best[0]) + len(best[1]) < 3:
+        return Module.empty()
+    return Module(*best).canonical()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 22, 63, 64, 65, 129, 300])
+def test_detect_matches_the_literal_seed_loop(n):
+    # sizes around whole bytes and 64-bit words, and large enough that the
+    # seeds span several chunks, with equal-size modules from different seeds
+    laws = [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (1.0, 0.0)]
+    trials = 3 if n < 100 else 1
+    for t in range(trials):
+        for li, (alpha, beta) in enumerate(laws):
+            g = sample_signed(SignedModelParams(n, alpha, beta, seed=1000 * n + 10 * t + li))
+            per_seed = reference_seed_modules(g, 100)
+            for max_seeds in (1, 3, 100):
+                # max_seeds limits the seed ranks; zero-impact seeds come last
+                want = reference_detect(per_seed[:max_seeds])
+                assert detect(g, DetectConfig(max_seeds=max_seeds)) == want
 
 
 # ---------------------------------------------------------------- expansion
