@@ -6,9 +6,9 @@ faction B, prunes both factions until every within-faction pair is +1 and
 every cross pair is -1, then sweeps the other nodes once, admitting each
 node whose signs align uniformly with one faction and against the other.
 That alignment test is the only admission test: members fail it on their
-zero diagonal and untied nodes on a zero tie, so the seed loop screens
-candidates by degree alone.  The largest module over all seeds wins; ties
-keep the earlier seed.
+zero diagonal and untied nodes on a zero tie.  The largest module over all
+seeds wins; ties keep the earlier seed, and the loop stops once no later
+seed can win (see :func:`detect`).
 
 Pruning removes, repeatedly, the lowest-index member with a non-(+1) tie to
 the rest of its living faction.  A member whose ties to all later members
@@ -18,12 +18,14 @@ that later member cannot go while it lives.  So the survivors are exactly
 the members with only +1 ties to every later member, which is the one
 predicate the intra-faction step computes.
 
-Every kernel works on the two packed sign planes of
-:meth:`SignedGraph.bit_rows`, the +1 rows and the -1 rows.  "All ties to a
-set are +1" is then "the node's +1 row covers the set's packed mask", and a
-faction's joint admission condition is the AND of its members' rows, so
-cross-pruning and expansion are AND-reduces over packed rows rather than
-gathers of int8 signs.
+Every kernel works on the packed sign planes of :meth:`SignedGraph.bit_rows`,
+the +1 rows and the -1 rows.  Signs are symmetric, so "u is -1 to all of a
+set" is u's bit in the AND of the set's -1 rows: cross-pruning and the
+admission flags are AND-reduces over packed rows.  Seeds go in chunks that
+fit ``_CHUNK_BYTES`` of gathered rows; one pass of each kernel prunes and
+flags all factions of a chunk, carried as one list of (faction, node) pairs,
+so small graphs pay numpy's per-call cost per chunk, not per seed.  Only the
+admission sweep runs seed by seed.  From a few hundred nodes up a chunk is one seed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ import numpy as np
 from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
+# bytes of packed rows that one chunk of seeds may gather: a seed's factions
+# hold up to n rows, so from n of about 500 up each chunk is a single seed
+_CHUNK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -57,79 +62,92 @@ def node_impacts(g: SignedGraph) -> np.ndarray:
     return out
 
 
-def _as_index_array(nodes: Iterable[int]) -> np.ndarray:
-    return np.sort(np.fromiter(nodes, dtype=np.intp))
+def _members(masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The bits set in packed ``masks`` as ``(rows, nodes, at)``: pairs sorted by
+    row, then node, with row r's pairs at ``at[r]:at[r + 1]``."""
+    bits = np.unpackbits(masks, axis=1, bitorder="little")
+    width = bits.shape[1]
+    flat = bits.ravel().nonzero()[0]
+    at = flat.searchsorted(np.arange(0, (masks.shape[0] + 1) * width, width))
+    rows = np.arange(masks.shape[0]).repeat(at[1:] - at[:-1])
+    return rows, flat - rows * width, at
 
 
-def _mask(nodes: np.ndarray, nbytes: int) -> np.ndarray:
-    """Packed membership mask of ``nodes``, ``nbytes`` long."""
-    member = np.zeros(8 * nbytes, dtype=bool)
-    member[nodes] = True
-    return np.packbits(member, bitorder="little")
+def _kept(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    rows, nodes, at = pairs
+    rows = rows[keep]
+    return rows, nodes[keep], rows.searchsorted(np.arange(at.size))
 
 
-def _covering(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Which packed ``rows`` have every bit of ``mask`` set; ``rows`` is overwritten."""
-    rows &= mask
-    return (rows == mask).all(axis=1)
-
-
-def _and_rows(planes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Per plane, the AND of the ``nodes`` rows; all ones when there are none."""
-    out = np.bitwise_and.reduce(planes[:, nodes[:ROW_TILE]], axis=1, initial=0xFF)
-    for r in range(ROW_TILE, nodes.size, ROW_TILE):
-        out &= np.bitwise_and.reduce(planes[:, nodes[r : r + ROW_TILE]], axis=1)
+def _and_rows(planes: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Per plane and row, the AND of the plane rows of the row's nodes (all ones
+    for none), gathered ``ROW_TILE`` nodes at a time so each tile stays in cache."""
+    _, nodes, at = pairs
+    width = (at[1:] - at[:-1]).max(initial=0)
+    # one padded row of positions per row; the padding repeats its last node
+    grid = nodes[np.minimum(at[:-1, None] + np.arange(width), at[1:, None] - 1)]
+    out = np.bitwise_and.reduce(planes[:, grid[:, :ROW_TILE]], axis=2, initial=0xFF)
+    for t in range(ROW_TILE, width, ROW_TILE):
+        out &= np.bitwise_and.reduce(planes[:, grid[:, t : t + ROW_TILE]], axis=2)
+    out[:, at[1:] == at[:-1]] = 0xFF
     return out
 
 
-def _intra_prune(members: np.ndarray, faction: np.ndarray, pos_bits: np.ndarray) -> np.ndarray:
-    """Keep the members whose ties to every later member are +1.
+def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarray) -> tuple:
+    """Keep the members whose ties to every later member of their row are +1.
 
-    ``members`` must be sorted and ``faction`` is their packed mask.  The
-    last member always survives, and any other survivor must be +1 to its
-    successor, so only those members are tested.  For a candidate u the
-    faction bits outside u's +1 row include u itself (the diagonal is 0),
-    and u survives iff it is the highest of them.
+    ``masks`` are the rows' packed factions.  A row's last member always
+    survives, and any other survivor must be +1 to its successor, so only
+    those members are tested.  For a candidate u the faction bits outside
+    u's +1 row include u itself (the diagonal is 0), and u survives iff it is
+    the highest of them.
     """
-    if members.size < 2:
-        return members
-    succ = members[1:]
-    next_ok = (pos_bits[members[:-1], succ >> 3] >> (succ & 7)) & 1 == 1
-    cand = members[:-1][next_ok]
-    bad = pos_bits[cand]
+    rows, nodes, at = pairs
+    keep = np.ones(nodes.size, dtype=bool)
+    keep[:-1] = rows[1:] != rows[:-1]
+    succ = nodes[1:]
+    cand = (~keep[:-1] & ((pos[nodes[:-1], succ >> 3] >> (succ & 7)) & 1 == 1)).nonzero()[0]
+    u = nodes[cand]
+    bad = pos[u]
     np.invert(bad, out=bad)
-    bad &= faction
+    cut = cand.searchsorted(at).tolist()
+    for mask, lo, hi in zip(masks, cut, cut[1:]):
+        bad[lo:hi] &= mask  # one broadcast per faction, not one gather per member
     words = bad.view("<u8")  # node v is bit v % 64 of word v // 64
     top = words.shape[1] - 1 - (words[:, ::-1] != 0).argmax(axis=1)
     top_word = words[np.arange(cand.size), top]
-    keep = (top == cand >> 6) & (top_word >> (cand & 63).astype(np.uint64) == 1)
-    return np.concatenate((cand[keep], members[-1:]))
+    keep[cand] = (top == u >> 6) & (top_word >> (u & 63).astype(np.uint64) == 1)
+    return _kept(pairs, keep)
 
 
-def _cross_prune(
-    a: np.ndarray, b: np.ndarray, neg_bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop members whose tie to any opposite-faction node is not -1.
-
-    An A member stays iff its packed -1 row covers B's mask; then a B member
-    stays iff its -1 row covers the surviving A's mask, matching the two
-    removal statements' order.  Within a side the outcome is scan-order
-    independent because the condition only looks across factions.
-    """
-    if a.size == 0 or b.size == 0:
-        return a, b
-    a = a[_covering(neg_bits[a], _mask(b, neg_bits.shape[1]))]
-    if a.size == 0:
-        return a, b
-    return a, b[_covering(neg_bits[b], _mask(a, neg_bits.shape[1]))]
+def _prune(masks: np.ndarray, planes: np.ndarray) -> tuple:
+    """Prune c seeds' factions, packed as each seed's A and then each B, to the
+    fixed point: the surviving A and B as :func:`_members` pairs, and per seed
+    the AND of B's rows in each plane.  An A member stays iff it is -1 to all
+    of its B.  The B members -1 to all of the surviving A stay next, and by
+    symmetry that is all of B."""
+    c = masks.shape[0] // 2
+    rows, nodes, at = _intra_prune(_members(masks), masks, planes[0])
+    a = rows[: at[c]], nodes[: at[c]], at[: c + 1]
+    b = rows[at[c] :] - c, nodes[at[c] :], at[c:] - at[c]
+    b_and = _and_rows(planes, b)
+    neg_b = np.unpackbits(b_and[1], axis=1, bitorder="little")
+    return _kept(a, neg_b[a[0], a[1]] == 1), b, b_and
 
 
-def _prune(
-    a: np.ndarray, b: np.ndarray, a_mask: np.ndarray, b_mask: np.ndarray, planes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    a = _intra_prune(a, a_mask, planes[0])
-    b = _intra_prune(b, b_mask, planes[0])
-    return _cross_prune(a, b, planes[1])
+def _sweep(a: list, b: list, ok: np.ndarray, live: list, planes: np.ndarray) -> tuple:
+    """Admit the ascending ``live`` nodes to ``a`` or ``b`` while their flags in
+    ``ok`` hold, ANDing each newcomer's rows into the flags."""
+    ok_a, ok_b = ok
+    for node in live:
+        byte, bit = node >> 3, 1 << (node & 7)
+        if ok_a[byte] & bit:
+            a.append(node)
+            ok &= planes[:, node]
+        elif ok_b[byte] & bit:
+            b.append(node)
+            ok &= planes[::-1, node]
+    return a, b
 
 
 def prune_factions(
@@ -141,14 +159,15 @@ def prune_factions(
     pruned factions are nonempty every surviving cross pair is -1.  Removal
     order is ascending node index, intra-faction (A then B) before cross.
     """
-    a_idx = _as_index_array(a)
-    b_idx = _as_index_array(b)
+    a_idx = np.fromiter(a, dtype=np.intp)
+    b_idx = np.fromiter(b, dtype=np.intp)
     if np.intersect1d(a_idx, b_idx).size:
         raise ValueError("factions must be disjoint")
     planes = g.bit_rows()
-    nbytes = planes.shape[2]
-    a_idx, b_idx = _prune(a_idx, b_idx, _mask(a_idx, nbytes), _mask(b_idx, nbytes), planes)
-    return tuple(a_idx.tolist()), tuple(b_idx.tolist())
+    member = np.zeros((2, 8 * planes.shape[2]), dtype=bool)
+    member[0, a_idx] = member[1, b_idx] = True
+    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes)
+    return tuple(a_out[1].tolist()), tuple(b_out[1].tolist())
 
 
 def expand(
@@ -175,26 +194,18 @@ def expand(
     """
     if planes is None:
         planes = g.bit_rows()
-    a_idx = _as_index_array(a)
-    b_idx = _as_index_array(b)
-    a_list, b_list = a_idx.tolist(), b_idx.tolist()
+    a_list = sorted(np.fromiter(a, dtype=np.intp).tolist())
+    b_list = sorted(np.fromiter(b, dtype=np.intp).tolist())
     cand = np.bincount(np.asarray(candidates, dtype=np.intp)).nonzero()[0]
     if cand.size == 0:
         return tuple(a_list), tuple(b_list)
 
-    # row 0 flags joining A, row 1 joining B; planes[::-1] swaps the signs
-    ok = _and_rows(planes, a_idx) & _and_rows(planes[::-1], b_idx)
-    ok_a, ok_b = ok
+    at = np.array([0, len(a_list), len(a_list) + len(b_list)])
+    ands = _and_rows(planes, (None, np.array(a_list + b_list, dtype=np.intp), at))
+    ok = ands[:, 0] & ands[::-1, 1]  # row 0 flags joining A, row 1 joining B
     # the flags only fall, so no other candidate can join
-    live = cand[((ok_a | ok_b)[cand >> 3] >> (cand & 7)) & 1 == 1]
-    for node in live.tolist():
-        byte, bit = node >> 3, 1 << (node & 7)
-        if ok_a[byte] & bit:
-            a_list.append(node)
-            ok &= planes[:, node]
-        elif ok_b[byte] & bit:
-            b_list.append(node)
-            ok &= planes[::-1, node]
+    live = cand[((ok[0] | ok[1])[cand >> 3] >> (cand & 7)) & 1 == 1]
+    _sweep(a_list, b_list, ok, live.tolist(), planes)
     return tuple(sorted(a_list)), tuple(sorted(b_list))
 
 
@@ -202,48 +213,49 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     """Run the full seed loop and return the largest module found.
 
     Seeds are the top min(max_seeds, N) nodes by impact (ties broken by
-    ascending index); zero-impact seeds are skipped.  Every node with at
-    least as many ties as the pruned module has members is offered to
-    :func:`expand`, whose alignment test rejects members and untied nodes.
-    Returns the empty module when nothing of size >= MIN_MODULE_SIZE is found.
+    ascending index); zero-impact seeds are skipped.  Each seed's pruned
+    factions are swept as :func:`expand` sweeps them, over the nodes whose
+    flags are set after pruning; the sweep is skipped when those nodes and
+    the factions cannot beat the best so far.  Returns the empty module when
+    nothing of size >= MIN_MODULE_SIZE is found.
 
     The loop stops early without changing the result.  A seed is never
-    pruned: its +1 row is A's start and its -1 row B's, so it is +1 to every
-    later member of A and -1 to all of B.  Every joiner needs a nonzero tie
-    to it, so its module has at most ``impacts[seed] + 1`` nodes.  Seeds
-    come in descending impact and a tie keeps the earlier module, so the
-    first seed with ``impacts[seed] + 1 <= best`` and every later one lose.
+    pruned: it is +1 to the rest of A, its +1 row, and -1 to all of B, its
+    -1 row.  Every joiner needs a nonzero tie to it, so its module has at
+    most ``impacts[seed] + 1`` nodes.  Seeds come in descending impact and a
+    tie keeps the earlier module, so from the first seed with
+    ``impacts[seed] + 1 <= best`` on, none can win.
     """
-    if cfg is None:
-        cfg = DetectConfig()
     impacts = node_impacts(g)
-    order = np.argsort(-impacts, kind="stable")
+    seeds = np.argsort(-impacts, kind="stable")[: min((cfg or DetectConfig()).max_seeds, g.n)]
+    seeds = seeds[impacts[seeds] > 0]
     planes = g.bit_rows()
-    pos, neg = planes
+    chunk = max(1, _CHUNK_BYTES // max(planes[0].nbytes, 1))
 
-    best_size = 0
-    best_a: tuple[int, ...] = ()
-    best_b: tuple[int, ...] = ()
-    for rank in range(min(cfg.max_seeds, g.n)):
-        seed = int(order[rank])
-        # see the docstring: no later seed can beat the best
-        if impacts[seed] == 0 or impacts[seed] + 1 <= best_size:
+    best_size, best_a, best_b = 0, [], []
+    for first in range(0, seeds.size, chunk):
+        part = seeds[first : first + chunk]
+        if impacts[part[0]] + 1 <= best_size:
             break
-        a_mask = pos[seed].copy()
-        a_mask[seed >> 3] |= 1 << (seed & 7)
-        b_mask = neg[seed]
-        a0 = np.unpackbits(a_mask, bitorder="little").nonzero()[0]
-        b0 = np.unpackbits(b_mask, bitorder="little").nonzero()[0]
-        a_idx, b_idx = _prune(a0, b0, a_mask, b_mask, planes)
-        # a joiner needs a nonzero tie to every member, so at least that many
-        cand = (impacts >= a_idx.size + b_idx.size).nonzero()[0]
-        a_fin, b_fin = expand(a_idx, b_idx, g, cand, planes=planes)
-
-        size = len(a_fin) + len(b_fin)
-        if size > best_size:
-            best_size = size
-            best_a, best_b = a_fin, b_fin
+        # A starts as each seed's +1 row and the seed, B as its -1 row
+        masks = planes[:, part].reshape(2 * part.size, -1)
+        masks[np.arange(part.size), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
+        a, b, b_and = _prune(masks, planes)
+        ok = _and_rows(planes, a) & b_and[::-1]
+        live = _members(ok[0] | ok[1])
+        a_rows, b_rows, live_rows = (
+            [nodes[x:y] for x, y in zip(at, at[1:])]
+            for nodes, at in ((p[1].tolist(), p[2].tolist()) for p in (a, b, live))
+        )
+        for i, seed in enumerate(part.tolist()):
+            if impacts[seed] + 1 <= best_size:
+                break
+            if len(a_rows[i]) + len(b_rows[i]) + len(live_rows[i]) <= best_size:
+                continue
+            fa, fb = _sweep(a_rows[i], b_rows[i], ok[:, i].copy(), live_rows[i], planes)
+            if len(fa) + len(fb) > best_size:
+                best_size, best_a, best_b = len(fa) + len(fb), fa, fb
 
     if best_size < MIN_MODULE_SIZE:
         return Module.empty(g.sigma)
-    return Module(best_a, best_b, g.sigma).canonical()
+    return Module(tuple(best_a), tuple(best_b), g.sigma).canonical()

@@ -51,12 +51,10 @@ class SignedGraph:
         object.__setattr__(self, "signs", signs)
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        # square tiles against their mirrors: a transposed read strides n bytes
-        # per element, and a small tile keeps those reads in cache
-        for r in range(0, signs.shape[0], ROW_TILE):
-            for c in range(r, signs.shape[0], ROW_TILE):
-                tile = signs[r : r + ROW_TILE, c : c + ROW_TILE]
-                if not np.array_equal(tile, signs[c : c + ROW_TILE, r : r + ROW_TILE].T):
+        t = ROW_TILE  # square tiles against their mirrors keep each transposed read in cache
+        for r in range(0, signs.shape[0], t):
+            for c in range(r, signs.shape[0], t):
+                if not np.array_equal(signs[r : r + t, c : c + t], signs[c : c + t, r : r + t].T):
                     raise ValueError("signs must be symmetric")
 
     @property

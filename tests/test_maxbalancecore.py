@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from balancenet.maxbalancecore import (
+    _CHUNK_BYTES,
     DetectConfig,
     detect,
     expand,
@@ -79,6 +80,24 @@ def test_detect_makes_no_full_size_temporaries():
     # fit; one n x n mask does not
     assert peak <= 0.5 * n * n
     assert detect(SignedGraph(signs=np.zeros((0, 0), dtype=np.int8))) == Module.empty()
+
+
+def test_detect_chunks_stay_within_the_budget():
+    # at n = 200 a chunk holds 5 seeds, so the 100 seeds take 20 chunks;
+    # pruning them all at once would hold 20 times the budget
+    n = 200
+    g = sample_signed(SignedModelParams(n=n, alpha_edge=0.95, beta_edge=0.03, seed=3))
+    planes_bytes = g.bit_rows().nbytes
+    assert 1 < _CHUNK_BYTES // (planes_bytes // 2) < 100
+    tracemalloc.start()
+    try:
+        detect(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the planes, one row tile of booleans while they are built, and each
+    # chunk's gathered rows and the index arrays beside them
+    assert peak <= planes_bytes + n * n + 4 * _CHUNK_BYTES
 
 
 # ---------------------------------------------------------------- pruning
@@ -310,6 +329,17 @@ def test_detect_skips_zero_impact_seeds():
     g = graph_from_edges(4, edges)
     module = detect(g, DetectConfig(max_seeds=4))
     assert module.nodes == (0, 1, 2)
+
+
+@pytest.mark.parametrize("n", [9, 600])
+def test_detect_keeps_seeds_whose_neighbourhood_can_still_win(n):
+    # seed 4 (impact 4) finds the triangle {4, 7, 8}; seed 0 (impact 3)
+    # then finds the 4-clique, exactly its closed neighbourhood.  At n = 9
+    # both seeds share a chunk, at n = 600 each seed is a chunk of its own.
+    clique = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
+    g = graph_from_edges(n, clique + [(4, 5, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1), (7, 8, 1)])
+    assert node_impacts(g)[[4, 0]].tolist() == [4, 3]
+    assert detect(g).nodes == (0, 1, 2, 3)
 
 
 def test_detect_is_deterministic():
