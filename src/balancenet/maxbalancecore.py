@@ -38,8 +38,7 @@ import numpy as np
 from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
-# bytes of packed rows that one chunk of seeds may gather: a seed's factions
-# hold up to n rows, so from n of about 500 up each chunk is a single seed
+# packed-row bytes that one chunk of seeds may gather, up to n rows per seed
 _CHUNK_BYTES = 32 * 1024
 
 
@@ -79,10 +78,9 @@ def _kept(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, 
     return rows, nodes[keep], rows.searchsorted(np.arange(at.size))
 
 
-def _and_rows(planes: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+def _and_rows(planes: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Per plane and row, the AND of the plane rows of the row's nodes (all ones
     for none), gathered ``ROW_TILE`` nodes at a time so each tile stays in cache."""
-    _, nodes, at = pairs
     width = (at[1:] - at[:-1]).max(initial=0)
     # one padded row of positions per row; the padding repeats its last node
     grid = nodes[np.minimum(at[:-1, None] + np.arange(width), at[1:, None] - 1)]
@@ -130,7 +128,7 @@ def _prune(masks: np.ndarray, planes: np.ndarray) -> tuple:
     rows, nodes, at = _intra_prune(_members(masks), masks, planes[0])
     a = rows[: at[c]], nodes[: at[c]], at[: c + 1]
     b = rows[at[c] :] - c, nodes[at[c] :], at[c:] - at[c]
-    b_and = _and_rows(planes, b)
+    b_and = _and_rows(planes, *b[1:])
     neg_b = np.unpackbits(b_and[1], axis=1, bitorder="little")
     return _kept(a, neg_b[a[0], a[1]] == 1), b, b_and
 
@@ -201,7 +199,7 @@ def expand(
         return tuple(a_list), tuple(b_list)
 
     at = np.array([0, len(a_list), len(a_list) + len(b_list)])
-    ands = _and_rows(planes, (None, np.array(a_list + b_list, dtype=np.intp), at))
+    ands = _and_rows(planes, np.array(a_list + b_list, dtype=np.intp), at)
     ok = ands[:, 0] & ands[::-1, 1]  # row 0 flags joining A, row 1 joining B
     # the flags only fall, so no other candidate can join
     live = cand[((ok[0] | ok[1])[cand >> 3] >> (cand & 7)) & 1 == 1]
@@ -241,8 +239,9 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         masks = planes[:, part].reshape(2 * part.size, -1)
         masks[np.arange(part.size), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
         a, b, b_and = _prune(masks, planes)
-        ok = _and_rows(planes, a) & b_and[::-1]
+        ok = _and_rows(planes, *a[1:]) & b_and[::-1]
         live = _members(ok[0] | ok[1])
+        # each seed's A, B and live nodes as lists, for the sweep
         a_rows, b_rows, live_rows = (
             [nodes[x:y] for x, y in zip(at, at[1:])]
             for nodes, at in ((p[1].tolist(), p[2].tolist()) for p in (a, b, live))
