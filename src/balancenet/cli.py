@@ -38,7 +38,7 @@ from balancenet.experiments import (
     run_scaling,
 )
 from balancenet.ingest import load_prices, log_returns
-from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect
+from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect, node_impacts
 from balancenet.oracle import EnumerationBudgetError, exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
 from balancenet.signedgraph import DEFAULT_SIGMA, Module, to_signed
@@ -136,7 +136,7 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
     g = sample_signed(params)
     # the writer reads only the upper triangle, so the int8 signs go as they are
     save_validated(ValidatedCorrMatrix(values=g.signs, t_len=None, alpha_level=None), args.out)
-    edges = int(np.count_nonzero(g.signs)) // 2
+    edges = int(node_impacts(g).sum()) // 2
     print(
         f"gen-random: n={args.n} alpha_edge={args.alpha_edge} "
         f"beta_edge={args.beta_edge} edges={edges} rng-seed={seed} -> {args.out}"

@@ -19,9 +19,11 @@ the members with only +1 ties to every later member, which is the one
 predicate the intra-faction step computes.
 
 Every kernel works on the packed sign planes of :meth:`SignedGraph.bit_rows`,
-the +1 rows and the -1 rows.  Signs are symmetric, so "u is -1 to all of a
-set" is u's bit in the AND of the set's -1 rows: cross-pruning and the
-admission flags are AND-reduces over packed rows.  Seeds go in chunks that
+the +1 rows and the -1 rows.  They are the graph's one stored form, so no
+call builds them, and node impacts are popcounts of their rows.  Signs are
+symmetric, so "u is -1 to all of a set" is u's bit in the AND of the set's
+-1 rows: cross-pruning and the admission flags are AND-reduces over packed
+rows.  Seeds go in chunks that
 fit ``_CHUNK_BYTES`` of gathered rows; one pass of each kernel prunes and
 flags all factions of a chunk, carried as one list of (faction, node) pairs,
 so small graphs pay numpy's per-call cost per chunk, not per seed.  Only the
@@ -54,10 +56,13 @@ class DetectConfig:
 
 
 def node_impacts(g: SignedGraph) -> np.ndarray:
-    """Per-node count of nonzero incident signs (degree in the signed graph)."""
+    """Per-node count of nonzero incident signs (degree in the signed graph):
+    the popcount of each row of ``P | N``, a row tile at a time."""
+    pos, neg = g.bit_rows()
     out = np.empty(g.n, dtype=np.intp)
     for r in range(0, g.n, ROW_TILE):
-        out[r : r + ROW_TILE] = np.count_nonzero(g.signs[r : r + ROW_TILE], axis=1)
+        either = (pos[r : r + ROW_TILE] | neg[r : r + ROW_TILE]).view("<u8")
+        out[r : r + ROW_TILE] = np.bitwise_count(either).sum(axis=1)
     return out
 
 
@@ -173,8 +178,6 @@ def expand(
     b: Iterable[int],
     g: SignedGraph,
     candidates: Sequence[int],
-    *,
-    planes: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Single ascending sweep admitting candidates into a faction.
 
@@ -187,11 +190,9 @@ def expand(
 
     The conditions are two packed flag vectors over all nodes: A's is the
     AND of A's +1 rows and B's -1 rows, B's the mirror, and each admission
-    ANDs the newcomer's rows into both.  ``planes`` are the graph's packed
-    sign planes, built here when not given.
+    ANDs the newcomer's rows into both.
     """
-    if planes is None:
-        planes = g.bit_rows()
+    planes = g.bit_rows()
     a_list = sorted(np.fromiter(a, dtype=np.intp).tolist())
     b_list = sorted(np.fromiter(b, dtype=np.intp).tolist())
     cand = np.bincount(np.asarray(candidates, dtype=np.intp)).nonzero()[0]

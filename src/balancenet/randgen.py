@@ -4,11 +4,13 @@ Per-pair randomness is counter-based: the value for pair (i, j) is a 64-bit
 hash of (seed, stream, i*n + j), so the sample is independent of generation
 order and safe to produce in parallel.  The mixing function is the
 SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
-counter.  Both generators build their matrices with ``_symmetric``, the
-module's one pair loop, which hashes a block of rows at a time and writes
-the block above the diagonal and its mirror below.  ``sample_signed``
-compares the 53-bit integer draws with integer thresholds, so it builds no
-float uniforms.
+counter.  Both generators hash a block of rows at a time, from the diagonal
+on, and write the block and its mirror.  ``sample_signed`` writes the
+graph's packed sign planes directly: it hashes 8-aligned row blocks in one
+reused buffer, compares the raw 64-bit words with integer thresholds, so it
+builds no float uniforms, packs each block along its rows, and mirrors it
+by 8 x 8 bit transposes of the packed bytes.  ``plant_lscbm`` builds its
+float matrix with ``_symmetric``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from balancenet.corrnet import ValidatedCorrMatrix
-from balancenet.signedgraph import SignedGraph
+from balancenet.signedgraph import SignedGraph, _mapped_zeros, _transpose_bits, _zero_planes
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -34,7 +36,7 @@ _STREAM_WEIGHT = 1
 _P_ABSENT = 0.30
 _P_WEAK_POS = 0.35
 
-# cells hashed per block of rows in ``_symmetric``; a larger block raises peak RSS
+# cells hashed per block of rows; a larger block raises peak RSS
 _BLOCK_CELLS = 1 << 16
 
 
@@ -53,17 +55,23 @@ def derive_seed(seed: int, *path: int) -> int:
     return h >> 1
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT_B)
-        return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of uint64 ``z``, in place; ``scratch`` has z's shape."""
+    for shift, mult in ((30, _MULT_A), (27, _MULT_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
+
+
+def _stream_base(seed: int, stream: int) -> np.uint64:
+    return np.uint64(_mix64_int(seed ^ _mix64_int((stream + 1) * _GAMMA)))
 
 
 def _pair_words(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
-    base = np.uint64(_mix64_int(seed ^ _mix64_int((stream + 1) * _GAMMA)))
     with np.errstate(over="ignore"):
-        return _mix64_array(base + keys.astype(np.uint64) * np.uint64(_GAMMA))
+        z = _stream_base(seed, stream) + keys.astype(np.uint64) * np.uint64(_GAMMA)
+    return _mix64_inplace(z, np.empty_like(z))
 
 
 def _pair_u01(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
@@ -90,23 +98,6 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
         i, j = j, i
     keys = np.asarray([i * n + j], dtype=np.uint64)
     return float(_pair_u01(seed, stream, keys)[0])
-
-
-def _mapped_zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
-    """A zeroed array in an anonymous mapping of its own, outside malloc's heap.
-
-    Freeing an n x n block that malloc mapped raises glibc's dynamic mmap
-    threshold, so later blocks of that size land on the heap and fragment
-    it, and peak memory then varies from run to run.  A mapping of its own
-    goes back to the system whole when the array is freed.  tracemalloc
-    does not see it.
-    """
-    import mmap
-
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if nbytes == 0:  # mmap rejects a zero length
-        return np.zeros(shape, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 
 def _symmetric(n: int, dtype: type, cells) -> np.ndarray:
@@ -175,18 +166,40 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
     -1 with probability beta, and 0 otherwise.  Identical parameters and
     seed always reproduce the identical graph.
     """
-    # m * 2**-53 < x  <=>  m < ceil(x * 2**53): the scaling is exact; the cap
-    # covers alpha + beta, which may exceed 1 by rounding
-    t_alpha, t_both = (
-        np.uint64(min(math.ceil(x * 2.0**53), 1 << 53))
+    n = params.n
+    # m * 2**-53 < x  <=>  m < t = ceil(x * 2**53), the scaling being exact; the
+    # cap covers alpha + beta, which may exceed 1 by rounding.  On the word w,
+    # m = w >> 11 < t  <=>  w <= (t - 1) << 11 | 0x7FF, and t >= 1.
+    limits = [
+        np.uint64((min(math.ceil(x * 2.0**53), 1 << 53) - 1) << 11 | 0x7FF)
         for x in (params.alpha_edge, params.alpha_edge + params.beta_edge)
-    )
-
-    def cells(keys: np.ndarray) -> np.ndarray:
-        m = _pair_words(params.seed, _STREAM_SIGN, keys) >> np.uint64(11)
-        return 2 * (m < t_alpha).astype(np.int8) - (m < t_both)
-
-    return SignedGraph(signs=_symmetric(params.n, np.int8, cells))
+    ]
+    planes = _zero_planes(n)
+    with np.errstate(over="ignore"):
+        # the key i*n + j hashes from base + i*n*GAMMA plus j*GAMMA, mod 2**64
+        row_terms = np.arange(n, dtype=np.uint64) * np.uint64(n * _GAMMA & _MASK)
+        row_terms += _stream_base(params.seed, _STREAM_SIGN)
+        col_terms = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
+    words = np.empty(min(n * n, max(_BLOCK_CELLS, 8 * n)), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    r0 = 0
+    while r0 < n:
+        # rows r0..r1 - 1 by columns r0..n - 1; r0 stays a multiple of 8
+        r1 = min(n, r0 + max(8, _BLOCK_CELLS // (n - r0) // 8 * 8))
+        shape = (r1 - r0, n - r0)
+        z = words[: shape[0] * shape[1]].reshape(shape)
+        np.add(row_terms[r0:r1, None], col_terms[r0:], out=z)
+        _mix64_inplace(z, scratch[: z.size].reshape(shape))
+        bits = np.empty((2, *shape), dtype=bool)
+        for plane, limit in zip(bits, limits):
+            np.less_equal(z, limit, out=plane)
+        bits[1] ^= bits[0]  # -1 where m lies in [t_alpha, t_both)
+        bits[:, :, : shape[0]] &= np.triu(np.ones((shape[0],) * 2, dtype=bool), 1)
+        block = np.packbits(bits, axis=2, bitorder="little")
+        planes[:, r0:r1, r0 // 8 : r0 // 8 + block.shape[2]] = block
+        planes[:, r0:, r0 // 8 : (r1 + 7) // 8] |= _transpose_bits(block)[:, : n - r0]
+        r0 = r1
+    return SignedGraph._from_planes(planes)
 
 
 def plant_lscbm(

@@ -11,6 +11,7 @@ from balancenet.oracle import exact_lscbm
 from balancenet.randgen import (
     PlantedInstance,
     SignedModelParams,
+    _pair_u01,
     derive_seed,
     pair_uniform,
     plant_lscbm,
@@ -46,6 +47,32 @@ def test_sample_all_positive_edge_law():
         g = sample_signed(SignedModelParams(n=12, alpha_edge=1.0, beta_edge=0.0, seed=seed))
         off = ~np.eye(12, dtype=bool)
         assert (g.signs[off] == 1).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 257, 513])
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.6, 0.3), (1.0, 0.0), (0.2, 0.8), (0.5, math.nextafter(0.5, 1.0))],
+    ids=["general", "all-positive", "negative", "sum-just-above-1"],
+)
+def test_sample_signed_planes_pack_the_per_pair_law(n, alpha, beta):
+    seed = 1000 + n
+    g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=seed))
+    # the reference draws each pair's float uniform and cuts it at alpha and alpha + beta
+    i, j = np.triu_indices(n, 1)
+    u = _pair_u01(seed, 0, i.astype(np.uint64) * np.uint64(n) + j)
+    expected = np.zeros((n, n), dtype=np.int8)
+    expected[i, j] = expected[j, i] = np.where(u < alpha, 1, np.where(u < alpha + beta, -1, 0))
+    signs = g.signs
+    assert np.array_equal(signs, expected)
+    planes = g.bit_rows()
+    used = (n + 7) // 8
+    assert planes.shape == (2, n, 8 * ((n + 63) // 64))
+    for plane, sign in zip(planes, (1, -1)):
+        assert np.array_equal(plane[:, :used], np.packbits(signs == sign, axis=1, bitorder="little"))
+        assert not plane[:, used:].any()
+    if alpha + beta >= 1.0:
+        assert np.count_nonzero(signs) == n * (n - 1)
 
 
 def test_sample_is_reproducible():
@@ -129,10 +156,10 @@ def test_sample_signed_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int8 result counts however it is allocated: tracemalloc does not see
-    # an anonymous mmap
-    result = n * n
-    # the int8 result and small row blocks fit; a full n x n temporary does not
+    # the packed planes count however they are allocated: tracemalloc does not
+    # see an anonymous mmap
+    result = 2 * n * 8 * ((n + 63) // 64)
+    # the planes and small row blocks fit; a full n x n temporary does not
     assert peak + result <= 1.5 * n * n
 
 

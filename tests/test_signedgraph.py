@@ -111,6 +111,15 @@ def test_bit_rows_match_the_whole_matrix_packing(n):
         assert not plane[:, used:].any()
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 300])
+def test_signed_graph_round_trips_its_signs(n):
+    upper = np.triu(np.random.default_rng(n).integers(-1, 2, size=(n, n), dtype=np.int8), 1)
+    signs = upper + upper.T
+    out = SignedGraph(signs).signs
+    assert out.dtype == np.int8
+    assert np.array_equal(out, signs)
+
+
 @pytest.mark.parametrize(
     "entry",
     [256, 255, 0.5, 1.7, np.int8(-128)],
@@ -143,6 +152,30 @@ def test_to_signed_threshold_boundaries():
 def test_to_signed_sigma_range(sigma):
     with pytest.raises(ValueError):
         to_signed(as_validated(np.eye(3)), sigma)
+
+
+def test_to_signed_keeps_entries_exactly_at_plus_and_minus_sigma():
+    n, sigma = 300, 0.7
+    values = np.eye(n)
+    inside = np.nextafter(sigma, 0.0)
+    for (i, j), value in {(0, 1): sigma, (2, 299): -sigma, (5, 6): inside, (7, 260): -inside}.items():
+        values[i, j] = values[j, i] = value
+    expected = np.zeros((n, n), dtype=np.int8)
+    expected[0, 1] = expected[1, 0] = 1
+    expected[2, 299] = expected[299, 2] = -1
+    g = to_signed(as_validated(values), sigma)
+    assert np.array_equal(g.signs, expected)
+    assert np.array_equal(g.bit_rows(), SignedGraph(expected).bit_rows())
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 299), (299, 3), (298, 299)])
+def test_to_signed_rejects_an_asymmetric_matrix(i, j):
+    n = 300
+    upper = np.triu(np.random.default_rng(5).uniform(-1, 1, size=(n, n)), 1)
+    values = upper + upper.T + np.eye(n)
+    values[i, j] = -0.9 if values[j, i] >= 0.5 else 0.9
+    with pytest.raises(ValueError, match="signs must be symmetric"):
+        to_signed(as_validated(values), 0.5)
 
 
 def test_to_signed_makes_no_float_copies():
@@ -246,6 +279,27 @@ def test_is_scbm_hereditary():
 def test_bipartition_all_positive():
     k4 = graph_from_edges(4, [(i, j, 1) for i in range(4) for j in range(i + 1, 4)])
     assert bipartition(k4, [0, 1, 2, 3]) == ((0, 1, 2, 3), ())
+
+
+def test_bipartition_gathers_only_the_module_block():
+    n = 2000
+    side = np.where(np.arange(n) % 3 == 0, -1, 1).astype(np.int8)
+    signs = np.outer(side, side)
+    np.fill_diagonal(signs, 0)
+    g = SignedGraph(signs)
+    nodes = list(range(0, n, n // 20))
+    tracemalloc.start()
+    try:
+        split = bipartition(g, nodes)
+        balanced = is_scbm(g, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert balanced
+    # node 0 anchors faction A
+    assert split == (tuple(v for v in nodes if v % 3 == 0), tuple(v for v in nodes if v % 3))
+    # a 20 x 20 block and its 20 packed rows fit; unpacking the graph does not
+    assert peak < n * n / 8
 
 
 def test_bipartition_two_factions():
