@@ -121,16 +121,17 @@ def _sample_bytes(regime):
     return h.hexdigest()
 
 
-def _plant(n, n_a, n_b):
-    return plant_lscbm(n, n_a, n_b, 0.7, derive_seed(CORPUS_SEED, 5, n, n_a, n_b))
+def _plant(n, n_a, n_b, sigma=0.7):
+    return plant_lscbm(n, n_a, n_b, sigma, derive_seed(CORPUS_SEED, 5, n, n_a, n_b))
 
 
-def _plant_bytes():
+def _plant_bytes(sigmas=(0.7,)):
     h = hashlib.sha256()
-    for n, n_a, n_b in PLANTS:
-        inst = _plant(n, n_a, n_b)
-        h.update(inst.matrix.values.tobytes())
-        h.update(json.dumps([inst.truth_a, inst.truth_b]).encode())
+    for sigma in sigmas:
+        for n, n_a, n_b in PLANTS:
+            inst = _plant(n, n_a, n_b, sigma)
+            h.update(inst.matrix.values.tobytes())
+            h.update(json.dumps([inst.truth_a, inst.truth_b]).encode())
     return h.hexdigest()
 
 
@@ -162,11 +163,14 @@ BYTE_FAMILIES = {
     "sample_signed/dense": lambda: _sample_bytes("dense"),
     "sample_signed/negative": lambda: _sample_bytes("negative"),
     "plant_lscbm": _plant_bytes,
+    # the weak-weight clip and scale at a low threshold and at the top one
+    "plant_lscbm/sigma": lambda: _plant_bytes((0.3, 1.0)),
     "to_signed": _threshold_bytes,
 }
 
 GOLDEN_BYTES = {
     "plant_lscbm": "c1f66568b854337456f48f76c5351c063d6a9497c30d7e6211213e9af25a2ede",
+    "plant_lscbm/sigma": "6879c3ba553c5e0c00e44a4e06dc309a6b9fbb9af4b56fae4aa181375ae63407",
     "sample_signed/dense": "9e09a8fc5ef13c01fe9e9f9947b3f1a931b241921b1b87c39c32c70dd4e735f2",
     "sample_signed/general": "43ecb446b162869ab5fc72ace933cc9331744e2da113dda762a7e972aafaeeac",
     "sample_signed/negative": "1fafbf798c57823584a74bd7279c53ba2eba15c6102444bd9f9d5a2783ad0552",
