@@ -4,13 +4,16 @@ Per-pair randomness is counter-based: the value for pair (i, j) is a 64-bit
 hash of (seed, stream, i*n + j), so the sample is independent of generation
 order and safe to produce in parallel.  The mixing function is the
 SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
-counter.  Both generators hash a block of rows at a time, from the diagonal
-on, and write the block and its mirror.  ``sample_signed`` writes the
-graph's packed sign planes directly: it hashes 8-aligned row blocks in one
-reused buffer, compares the raw 64-bit words with integer thresholds, so it
-builds no float uniforms, packs each block along its rows, and mirrors it
-by 8 x 8 bit transposes of the packed bytes.  ``plant_lscbm`` builds its
-float matrix with ``_symmetric``.
+counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
+8-aligned blocks of rows, from the diagonal on, in buffers reused from
+block to block; both generators consume it and write each block and its
+mirror.  ``sample_signed`` compares the raw 64-bit words with integer
+thresholds, so it builds no float uniforms, packs each block along its rows
+into the graph's sign planes, and mirrors it by 8 x 8 bit transposes of the
+packed bytes.  ``plant_lscbm`` turns the words of two streams into float
+uniforms and adds each block and its transpose into its float matrix.
+``pair_uniform`` computes one pair's uniform in pure Python, the scalar
+reference both generators agree with.
 """
 
 from __future__ import annotations
@@ -64,60 +67,52 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _stream_base(seed: int, stream: int) -> np.uint64:
-    return np.uint64(_mix64_int(seed ^ _mix64_int((stream + 1) * _GAMMA)))
-
-
-def _pair_words(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = _stream_base(seed, stream) + keys.astype(np.uint64) * np.uint64(_GAMMA)
-    return _mix64_inplace(z, np.empty_like(z))
-
-
-def _pair_u01(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
-    """Uniforms on [0, 1) with 53-bit resolution, one per key."""
-    words = _pair_words(seed, stream, keys)
-    return (words >> np.uint64(11)).astype(np.float64) * (0.5**53)
-
-
-def _pair_u01_open(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
-    """Uniforms on the open interval (0, 1): grid midpoints, never 0 or 1."""
-    words = _pair_words(seed, stream, keys)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (0.5**53)
+def _stream_base(seed: int, stream: int) -> int:
+    return _mix64_int(seed ^ _mix64_int((stream + 1) * _GAMMA))
 
 
 def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) -> float:
     """The [0, 1) uniform used for the unordered pair (i, j) of an n-node graph.
 
-    Exposed so tests can confirm that samples are a pure function of
+    Computed one pair at a time, apart from the block loop the generators
+    share, so tests can confirm that samples are a pure function of
     (seed, i, j) regardless of how generation was batched.
     """
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("pair indices must lie in [0, n)")
     if i == j:
         raise ValueError("pair requires two distinct nodes")
     if i > j:
         i, j = j, i
-    keys = np.asarray([i * n + j], dtype=np.uint64)
-    return float(_pair_u01(seed, stream, keys)[0])
+    return (_mix64_int(_stream_base(seed, stream) + (i * n + j) * _GAMMA) >> 11) * 0.5**53
 
 
-def _symmetric(n: int, dtype: type, cells) -> np.ndarray:
-    """The n x n zero-diagonal matrix holding ``cells(keys)`` at (i, j) and (j, i).
+def _upper_blocks(n: int, seed: int, streams: tuple[int, ...]):
+    """Yield ``(r0, r1, words)`` over the upper triangle of an n x n pair grid.
 
-    ``keys`` is a 2-D block of counter keys i*n + j, rows r0..r1 - 1 by
-    columns r0 + 1..n - 1; ``cells`` maps it element by element.  The block's
-    upper triangle (j > i) is written above the diagonal, and its transpose
-    added below, where the block's own rows hold zeros from ``np.triu``.
+    Each block is rows r0..r1 - 1 by columns r0..n - 1, with r0 a multiple
+    of 8; ``words[s]`` holds the hashes of the keys i*n + j on
+    ``streams[s]``.  The streams share ``_BLOCK_CELLS``, and the buffers
+    are reused from block to block, so a consumer must be done with a block
+    before it asks for the next.
     """
-    out = _mapped_zeros((n, n), dtype)
+    # the key i*n + j hashes from base + i*n*GAMMA plus j*GAMMA, mod 2**64
+    row_terms = np.arange(n, dtype=np.uint64) * np.uint64(n * _GAMMA & _MASK)
+    rows = [row_terms + np.uint64(_stream_base(seed, s)) for s in streams]
+    cols = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
+    cells = min(n * n, max(_BLOCK_CELLS // len(streams), 8 * n))
+    words = np.empty((len(streams), cells), dtype=np.uint64)
+    scratch = np.empty(cells, dtype=np.uint64)
     r0 = 0
-    while r0 < n - 1:
-        r1 = min(n - 1, r0 + max(1, _BLOCK_CELLS // (n - 1 - r0)))
-        rows = np.arange(r0, r1, dtype=np.uint64)[:, None] * np.uint64(n)
-        block = np.triu(cells(rows + np.arange(r0 + 1, n, dtype=np.uint64)))
-        out[r0:r1, r0 + 1 :] = block
-        out[r0 + 1 :, r0:r1] += block.T
+    while r0 < n:
+        r1 = min(n, r0 + max(8, cells // (n - r0) // 8 * 8))
+        shape = (r1 - r0, n - r0)
+        block = words[:, : shape[0] * shape[1]].reshape(len(streams), *shape)
+        for z, terms in zip(block, rows):
+            np.add(terms[r0:r1, None], cols[r0:], out=z)
+            _mix64_inplace(z, scratch[: z.size].reshape(shape))
+        yield r0, r1, block
         r0 = r1
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,30 +170,15 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
         for x in (params.alpha_edge, params.alpha_edge + params.beta_edge)
     ]
     planes = _zero_planes(n)
-    with np.errstate(over="ignore"):
-        # the key i*n + j hashes from base + i*n*GAMMA plus j*GAMMA, mod 2**64
-        row_terms = np.arange(n, dtype=np.uint64) * np.uint64(n * _GAMMA & _MASK)
-        row_terms += _stream_base(params.seed, _STREAM_SIGN)
-        col_terms = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
-    words = np.empty(min(n * n, max(_BLOCK_CELLS, 8 * n)), dtype=np.uint64)
-    scratch = np.empty_like(words)
-    r0 = 0
-    while r0 < n:
-        # rows r0..r1 - 1 by columns r0..n - 1; r0 stays a multiple of 8
-        r1 = min(n, r0 + max(8, _BLOCK_CELLS // (n - r0) // 8 * 8))
-        shape = (r1 - r0, n - r0)
-        z = words[: shape[0] * shape[1]].reshape(shape)
-        np.add(row_terms[r0:r1, None], col_terms[r0:], out=z)
-        _mix64_inplace(z, scratch[: z.size].reshape(shape))
-        bits = np.empty((2, *shape), dtype=bool)
+    for r0, r1, (z,) in _upper_blocks(n, params.seed, (_STREAM_SIGN,)):
+        bits = np.empty((2, *z.shape), dtype=bool)
         for plane, limit in zip(bits, limits):
             np.less_equal(z, limit, out=plane)
         bits[1] ^= bits[0]  # -1 where m lies in [t_alpha, t_both)
-        bits[:, :, : shape[0]] &= np.triu(np.ones((shape[0],) * 2, dtype=bool), 1)
+        bits[:, :, : r1 - r0] &= np.triu(np.ones((r1 - r0,) * 2, dtype=bool), 1)
         block = np.packbits(bits, axis=2, bitorder="little")
         planes[:, r0:r1, r0 // 8 : r0 // 8 + block.shape[2]] = block
         planes[:, r0:, r0 // 8 : (r1 + 7) // 8] |= _transpose_bits(block)[:, : n - r0]
-        r0 = r1
     return SignedGraph._from_planes(planes)
 
 
@@ -228,17 +208,20 @@ def plant_lscbm(
 
     # weak weights must stay strictly inside (-sigma, sigma)
     top = np.nextafter(sigma, 0.0)
-
-    def cells(keys: np.ndarray) -> np.ndarray:
-        u_cat = _pair_u01(seed, _STREAM_SIGN, keys)
-        u_mag = _pair_u01_open(seed, _STREAM_WEIGHT, keys)
-        mag = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
-        weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, mag, -mag)
-        return np.where(u_cat < _P_ABSENT, 0.0, weak)
-
-    values = _symmetric(n, np.float64, cells)
-    side = np.repeat([1.0, -1.0], (n_a, n_b))  # factions A then B, as drawn from perm
-    values[np.ix_(perm[:core], perm[:core])] = np.outer(side, side)
+    values = _mapped_zeros((n, n), np.float64)
+    for r0, r1, (cat, mag) in _upper_blocks(n, seed, (_STREAM_SIGN, _STREAM_WEIGHT)):
+        u_cat = (cat >> np.uint64(11)).astype(np.float64) * 0.5**53
+        # the weight's uniform lies on the open interval (0, 1): grid midpoints
+        u_mag = ((mag >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53
+        weak = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
+        weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, weak, -weak)
+        block = np.triu(np.where(u_cat < _P_ABSENT, 0.0, weak), 1)
+        values[r0:r1, r0:] = block
+        values[r0:, r0:r1] += block.T
+    # scalar writes: no core x core temporary beside the last block's arrays
+    for nodes, sign in ((truth_a, 1.0), (truth_b, -1.0)):
+        values[np.ix_(nodes, truth_a)] = sign
+        values[np.ix_(nodes, truth_b)] = -sign
     np.fill_diagonal(values, 1.0)
 
     matrix = ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)

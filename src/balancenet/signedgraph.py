@@ -181,8 +181,9 @@ class SignedGraph:
 class Module:
     """A detected balanced module: two disjoint factions plus a threshold label.
 
-    Factions are stored as sorted tuples.  ``sigma`` is the threshold of the
-    graph the module was found in, None when that graph was never thresholded.
+    Factions are stored as sorted tuples of distinct nodes.  ``sigma`` is
+    the threshold of the graph the module was found in, None when that graph
+    was never thresholded.
     """
 
     faction_a: tuple[int, ...]
@@ -194,6 +195,8 @@ class Module:
         b = tuple(sorted(self.faction_b))
         object.__setattr__(self, "faction_a", a)
         object.__setattr__(self, "faction_b", b)
+        if len(set(a)) < len(a) or len(set(b)) < len(b):
+            raise ValueError("a faction lists a node twice")
         if set(a) & set(b):
             raise ValueError("factions must be disjoint")
 
@@ -234,8 +237,8 @@ class Module:
     def from_report(cls, report: dict) -> "Module":
         """Rebuild a module from :meth:`to_report` output, e.g. parsed JSON.
 
-        Raises ValueError unless both factions are lists of integers and
-        ``sigma`` is null or a number.
+        Raises ValueError unless both factions are lists of distinct integers,
+        disjoint from each other, and ``sigma`` is null or a number.
         """
         if not isinstance(report, dict):
             raise ValueError("module report must be a JSON object")

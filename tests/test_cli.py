@@ -321,6 +321,17 @@ def test_stats_module_out_of_range_exit_code(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_stats_module_repeated_node_exit_code(tmp_path, capsys):
+    net = tmp_path / "net"
+    main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps({"faction_a": [1, 1, 2], "faction_b": []}))
+    code = main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(tmp_path / "s.json")])
+    assert code == EXIT_INPUT
+    assert "a faction lists a node twice" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_bad_meta_exit_code(tmp_path, capsys):
     net = tmp_path / "net"
     main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])

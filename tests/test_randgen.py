@@ -1,5 +1,6 @@
 """Tests for the seeded graph sampler and the planted-instance generator."""
 
+import functools
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from balancenet.oracle import exact_lscbm
 from balancenet.randgen import (
     PlantedInstance,
     SignedModelParams,
-    _pair_u01,
     derive_seed,
     pair_uniform,
     plant_lscbm,
@@ -42,6 +42,12 @@ def test_model_params_validation(kwargs):
 # ---------------------------------------------------------------- sampling
 
 
+@functools.cache
+def _upper_uniforms(seed, n, stream):
+    """``pair_uniform`` over the upper triangle, in ``np.triu_indices(n, 1)`` order."""
+    return np.array([pair_uniform(seed, i, j, n, stream) for i in range(n) for j in range(i + 1, n)])
+
+
 def test_sample_all_positive_edge_law():
     for seed in (0, 123, 10**12):
         g = sample_signed(SignedModelParams(n=12, alpha_edge=1.0, beta_edge=0.0, seed=seed))
@@ -60,7 +66,7 @@ def test_sample_signed_planes_pack_the_per_pair_law(n, alpha, beta):
     g = sample_signed(SignedModelParams(n=n, alpha_edge=alpha, beta_edge=beta, seed=seed))
     # the reference draws each pair's float uniform and cuts it at alpha and alpha + beta
     i, j = np.triu_indices(n, 1)
-    u = _pair_u01(seed, 0, i.astype(np.uint64) * np.uint64(n) + j)
+    u = _upper_uniforms(seed, n, 0)
     expected = np.zeros((n, n), dtype=np.int8)
     expected[i, j] = expected[j, i] = np.where(u < alpha, 1, np.where(u < alpha + beta, -1, 0))
     signs = g.signs
@@ -168,6 +174,13 @@ def test_pair_uniform_rejects_self_pair():
         pair_uniform(1, 3, 3, 10)
 
 
+@pytest.mark.parametrize("i, j", [(0, 12), (12, 0), (-1, 2), (2, -1), (0, 10), (10, 10)])
+def test_pair_uniform_rejects_indices_outside_the_graph(i, j):
+    # (0, 12) of 10 nodes would alias the key of (1, 2); a negative index would wrap
+    with pytest.raises(ValueError):
+        pair_uniform(1, i, j, 10)
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     values = {derive_seed(7, i) for i in range(1000)}
@@ -188,6 +201,48 @@ def test_plant_size_validation():
         plant_lscbm(10, -1, 4, 0.7, 0)
     with pytest.raises(ValueError):
         plant_lscbm(10, 2, 2, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "n, n_a, n_b, sigma",
+    [
+        (1, 0, 0, 0.7),
+        (7, 2, 1, 1.0),
+        (8, 0, 0, 0.3),
+        (9, 3, 0, 0.7),
+        (65, 5, 4, 1.0),
+        (257, 20, 12, 0.5),
+    ],
+)
+def test_plant_background_matches_pair_uniform(n, n_a, n_b, sigma):
+    seed = 2000 + n
+    inst = plant_lscbm(n, n_a, n_b, sigma, seed)
+    # the reference cuts the sign stream's uniform at 0.30 and 0.30 + 0.35, and
+    # scales the weight stream's uniform, moved to its grid midpoint, by sigma
+    u_cat = _upper_uniforms(seed, n, 0)
+    u_mag = (_upper_uniforms(seed, n, 1) * 2.0**53 + 0.5) * 0.5**53
+    mag = np.clip(u_mag * sigma, math.nextafter(0.0, 1.0), math.nextafter(sigma, 0.0))
+    expected = np.where(u_cat < 0.30, 0.0, np.where(u_cat < 0.30 + 0.35, mag, -mag))
+    i, j = np.triu_indices(n, 1)
+    in_core = np.isin(i, inst.truth_nodes) & np.isin(j, inst.truth_nodes)
+    values = inst.matrix.values
+    assert np.array_equal(values[i, j][~in_core], expected[~in_core])
+    assert np.array_equal(values[j, i][~in_core], expected[~in_core])
+    assert (np.abs(expected) < sigma).all()
+
+
+def test_plant_memory_budget():
+    # a 20-node core keeps the core write small; the n x n matrix sits in an
+    # anonymous mapping, which tracemalloc does not see
+    plant_lscbm(50, 3, 3, 0.7, seed=1)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        plant_lscbm(2000, 10, 10, 0.7, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the hash buffers and one block's float temporaries fit
+    assert peak <= 4 * 2**20
 
 
 def test_plant_structure():

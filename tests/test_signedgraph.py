@@ -364,6 +364,14 @@ def test_module_basics():
         Module((1, 2), (2, 3), 0.7)
 
 
+@pytest.mark.parametrize("a, b", [((1, 1, 2), ()), ((), (4, 0, 4)), ((0, 3, 3), (5,))])
+def test_module_rejects_a_node_listed_twice(a, b):
+    with pytest.raises(ValueError, match="a faction lists a node twice"):
+        Module(a, b, 0.7)
+    with pytest.raises(ValueError, match="a faction lists a node twice"):
+        Module.from_report({"faction_a": list(a), "faction_b": list(b)})
+
+
 def test_module_canonical_swaps_factions():
     m = Module((5, 6), (0, 2), 0.7).canonical()
     assert m.faction_a == (0, 2)
