@@ -211,7 +211,8 @@ def plant_lscbm(
     values = _mapped_zeros((n, n), np.float64)
     for r0, r1, (cat, mag) in _upper_blocks(n, seed, (_STREAM_SIGN, _STREAM_WEIGHT)):
         u_cat = (cat >> np.uint64(11)).astype(np.float64) * 0.5**53
-        # the weight's uniform lies on the open interval (0, 1): grid midpoints
+        # grid midpoints, never 0; from 1/2 up, m + 0.5 rounds to even, so 1.0
+        # can occur and the clip keeps the weight below sigma
         u_mag = ((mag >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53
         weak = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
         weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, weak, -weak)

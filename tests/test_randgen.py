@@ -232,8 +232,8 @@ def test_plant_background_matches_pair_uniform(n, n_a, n_b, sigma):
 
 
 def test_plant_memory_budget():
-    # a 20-node core keeps the core write small; the n x n matrix sits in an
-    # anonymous mapping, which tracemalloc does not see
+    # a 20-node core keeps the core's index arrays small; the n x n matrix sits
+    # in an anonymous mapping, which tracemalloc does not see
     plant_lscbm(50, 3, 3, 0.7, seed=1)  # warm up lazy imports
     tracemalloc.start()
     try:
