@@ -1,12 +1,13 @@
 """Golden corpus: reports and generated bytes on fixed seeded inputs.
 
 Module node sets and the oracle's per-size counts are the contract a
-refactor of ``detect`` or of the oracle must keep, the generators' and the
-threshold's array bytes are the contract a refactor of ``randgen`` or
-``to_signed`` must keep, and the simulation reports are the contract a
-refactor of ``experiments`` must keep.  Each family below hashes what it
-builds; the literals were computed once and must only change together with
-a deliberate change of behaviour.
+refactor of ``detect`` or of the oracle must keep, the balance checkers'
+verdicts and splits the contract a refactor of ``is_scbm`` or
+``bipartition`` must keep, the generators' and the threshold's array bytes
+are the contract a refactor of ``randgen`` or ``to_signed`` must keep, and
+the simulation reports are the contract a refactor of ``experiments`` must
+keep.  Each family below hashes what it builds; the literals were computed
+once and must only change together with a deliberate change of behaviour.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from balancenet.experiments import regime_edge_law, run_accuracy, run_nonempty_c
 from balancenet.maxbalancecore import detect
 from balancenet.oracle import count_scbm, exact_lscbm
 from balancenet.randgen import SignedModelParams, derive_seed, plant_lscbm, sample_signed
-from balancenet.signedgraph import to_signed
+from balancenet.signedgraph import bipartition, is_scbm, to_signed
 
 CORPUS_SEED = 20260
 
@@ -102,6 +103,37 @@ def test_golden_corpus_reports(family):
         # every size from 3 up to one past the optimum, where the count is 0
         counts = [[count_scbm(g, s) for s in range(3, b.size + 2)] for g, b in zip(graphs, best)]
         assert _digest(counts) == GOLDEN[f"{family}/count_scbm"]
+
+
+# ---------------------------------------------------------------- balance checks
+
+
+def _split(g, nodes):
+    try:
+        return bipartition(g, nodes)
+    except ValueError:  # some pair has no edge
+        return "incomplete"
+
+
+def _balance_reports():
+    """``is_scbm`` and ``bipartition`` of every golden graph on three node sets:
+    the detected module, the module plus its lowest-index outside node, and
+    the first min(n, 12) nodes."""
+    reports = []
+    for family in sorted(FAMILIES):
+        for g in FAMILIES[family][0]():
+            module = list(detect(g).nodes)
+            outside = sorted(set(range(g.n)) - set(module))[:1]
+            for nodes in (module, module + outside, list(range(min(g.n, 12)))):
+                reports.append([family, g.n, bool(is_scbm(g, nodes)), _split(g, nodes)])
+    return reports
+
+
+GOLDEN_BALANCE = "13af2465dd0ada9999e57bacc67e6740942433667a3d5707e5abe1725b32fe86"
+
+
+def test_golden_corpus_balance():
+    assert _digest(_balance_reports()) == GOLDEN_BALANCE
 
 
 # ---------------------------------------------------------------- generated bytes

@@ -302,6 +302,26 @@ def test_bipartition_gathers_only_the_module_block():
     assert peak < n * n / 8
 
 
+def test_is_scbm_and_bipartition_stay_within_4_bytes_per_pair():
+    n, k = 2000, 1000
+    side = np.where(np.arange(n) % 3 == 0, -1, 1).astype(np.int8)
+    signs = np.outer(side, side)
+    np.fill_diagonal(signs, 0)
+    g = SignedGraph(signs)
+    nodes = list(range(0, n, 2))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for check in (is_scbm, bipartition):
+            tracemalloc.reset_peak()
+            assert check(g, nodes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    # the gathered bits and the int8 block fit; a float64 or int64 copy does not
+    assert max(peaks) <= 6 * k * k
+
+
 def test_bipartition_two_factions():
     edges = []
     group_a, group_b = (0, 1), (2, 3, 4)
@@ -337,9 +357,9 @@ def test_balance_equivalence_exhaustive():
             nodes = list(range(n))
             split = bipartition(g, nodes)
             assert is_scbm(g, nodes) == (split is not None)
+            assert (split is not None) == naive_is_scbm(g, nodes)
             if split is not None:
                 a, b = split
-                assert naive_is_scbm(g, nodes)
                 for i in a:
                     for j in a:
                         if i != j:
