@@ -3,9 +3,10 @@
 A node set is a balanced module when every pair inside it carries a nonzero
 sign and every triangle has a positive sign product.  On complete signed
 subgraphs that triangle condition is equivalent to a two-faction split with
-positive edges inside factions and negative edges across (the classic
-balance-theory characterization); both routes are implemented and the
-equivalence is exercised exhaustively in the tests.
+positive edges inside factions and negative edges across (Cartwright &
+Harary's structure theorem).  Both checkers decide it by that split, in one
+helper over the int8 block of the node set; the tests hold it against a
+literal loop over every triangle.
 """
 
 from __future__ import annotations
@@ -90,17 +91,16 @@ def _check_symmetric(planes: np.ndarray) -> None:
             raise ValueError("signs must be symmetric")
 
 
-def _packed(values: np.ndarray, is_pos, is_neg) -> np.ndarray:
-    """The planes of a square matrix, +1 where ``is_pos`` and -1 where ``is_neg``
-    of a row tile holds, with the diagonal cleared; checked symmetric."""
+def _packed(values: np.ndarray, cut: float) -> np.ndarray:
+    """The planes of a square matrix, +1 where an entry is >= ``cut`` and -1
+    where it is <= -``cut``, with the diagonal cleared; checked symmetric."""
     n = values.shape[0]
     planes = _zero_planes(n)
     used = (n + 7) // 8
     for r in range(0, n, ROW_TILE):
         tile = values[r : r + ROW_TILE]
         at = np.arange(tile.shape[0])
-        for plane, test in zip(planes, (is_pos, is_neg)):
-            bits = test(tile)
+        for plane, bits in zip(planes, (tile >= cut, tile <= -cut)):
             bits[at, r + at] = False
             plane[r : r + ROW_TILE, :used] = np.packbits(bits, axis=1, bitorder="little")
     _check_symmetric(planes)
@@ -136,7 +136,8 @@ class SignedGraph:
             signs = cast
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        self._init(_packed(signs, lambda t: t == 1, lambda t: t == -1), sigma)
+        # entries lie in {-1, 0, +1}, so a cut at 1 keeps them as they are
+        self._init(_packed(signs, 1), sigma)
 
     @classmethod
     def _from_planes(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
@@ -267,7 +268,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
         raise ValueError("sigma must lie in (0, 1]")
     if v.values.ndim != 2 or v.values.shape[0] != v.values.shape[1]:
         raise ValueError("signs must be a square matrix")
-    planes = _packed(v.values, lambda t: t >= sigma, lambda t: t <= -sigma)
+    planes = _packed(v.values, sigma)
     return SignedGraph._from_planes(planes, sigma)
 
 
@@ -298,25 +299,32 @@ def _block(g: SignedGraph, idx: np.ndarray) -> np.ndarray:
     return bits[0].view(np.int8) - bits[1].view(np.int8)
 
 
+def _side(sub: np.ndarray) -> np.ndarray | None:
+    """The faction of each node of the int8 block ``sub``, +1 or -1, or None
+    when the block is not complete and balanced.
+
+    Row 0 with the anchor set to +1 is the only candidate split: the block
+    is complete and balanced iff that row has no zero and ``sub`` equals
+    ``outer(side, side)`` with a zero diagonal.
+    """
+    side = sub[0].copy()
+    side[0] = 1
+    if not side.all():
+        return None
+    expected = np.outer(side, side)
+    np.fill_diagonal(expected, 0)
+    return side if np.array_equal(sub, expected) else None
+
+
 def is_scbm(g: SignedGraph, nodes: Iterable[int]) -> bool:
     """Check the balanced-module conditions on a node set.
 
     Requires at least three nodes, a nonzero sign on every pair, and a
-    positive sign product on every triangle.  The triangle condition is
-    evaluated through the closed-walk identity trace(M^3) = k(k-1)(k-2),
-    which holds iff all C(k,3) triangle products equal +1; the arithmetic is
-    exact in float64 for any feasible k.
+    positive sign product on every triangle, which on a complete block means
+    a split into two factions, +1 inside each and -1 across.
     """
     idx = _check_nodes(g, list(nodes))
-    k = idx.size
-    if k < MIN_MODULE_SIZE:
-        return False
-    sub = _block(g, idx).astype(np.float64)
-    off = ~np.eye(k, dtype=bool)
-    if not np.all(sub[off] != 0):
-        return False
-    triangle_sum = np.trace(sub @ sub @ sub)
-    return triangle_sum == k * (k - 1) * (k - 2)
+    return idx.size >= MIN_MODULE_SIZE and _side(_block(g, idx)) is not None
 
 
 def bipartition(
@@ -332,14 +340,11 @@ def bipartition(
     k = idx.size
     if k == 0:
         return (), ()
-    sub = _block(g, idx).astype(np.int64)
-    off = ~np.eye(k, dtype=bool)
-    if not np.all(sub[off] != 0):
+    sub = _block(g, idx)
+    if np.count_nonzero(sub) != k * (k - 1):
         raise ValueError("subgraph is incomplete: some pair has sign 0")
-    side = sub[0].copy()
-    side[0] = 1
-    expected = np.outer(side, side)
-    if not np.array_equal(sub[off], expected[off]):
+    side = _side(sub)
+    if side is None:
         return None
     a = tuple(int(v) for v in idx[side > 0])
     b = tuple(int(v) for v in idx[side < 0])
