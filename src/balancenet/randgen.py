@@ -7,11 +7,12 @@ SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
 counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
 8-aligned blocks of rows, from the diagonal on, in buffers reused from
 block to block; both generators consume it and write each block and its
-mirror.  ``sample_signed`` compares the raw 64-bit words with integer
-thresholds, so it builds no float uniforms, packs each block along its rows
-into the graph's sign planes, and mirrors it by 8 x 8 bit transposes of the
-packed bytes.  ``plant_lscbm`` turns the words of two streams into float
-uniforms and adds each block and its transpose into its float matrix.
+mirror.  Both generators cut the raw 64-bit sign words at integer limits
+(``_word_limit``), so neither builds a float uniform to pick a sign.
+``sample_signed`` packs each block along its rows into the graph's sign
+planes, and mirrors it by 8 x 8 bit transposes of the packed bytes.
+``plant_lscbm`` turns the words of its weight stream into float uniforms and
+adds each block and its transpose into its float matrix.
 ``pair_uniform`` computes one pair's uniform in pure Python, the scalar
 reference both generators agree with.
 """
@@ -85,6 +86,14 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
     if i > j:
         i, j = j, i
     return (_mix64_int(_stream_base(seed, stream) + (i * n + j) * _GAMMA) >> 11) * 0.5**53
+
+
+def _word_limit(x: float) -> np.uint64:
+    """The largest 64-bit word w whose uniform (w >> 11) * 2**-53 is below x > 0."""
+    # m * 2**-53 < x  <=>  m < t = ceil(x * 2**53), the scaling being exact; the
+    # cap covers x > 1, e.g. alpha + beta above 1 by rounding.  On the word w,
+    # m = w >> 11 < t  <=>  w <= (t - 1) << 11 | 0x7FF, and t >= 1.
+    return np.uint64((min(math.ceil(x * 2.0**53), 1 << 53) - 1) << 11 | 0x7FF)
 
 
 def _upper_blocks(n: int, seed: int, streams: tuple[int, ...]):
@@ -162,13 +171,7 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
     seed always reproduce the identical graph.
     """
     n = params.n
-    # m * 2**-53 < x  <=>  m < t = ceil(x * 2**53), the scaling being exact; the
-    # cap covers alpha + beta, which may exceed 1 by rounding.  On the word w,
-    # m = w >> 11 < t  <=>  w <= (t - 1) << 11 | 0x7FF, and t >= 1.
-    limits = [
-        np.uint64((min(math.ceil(x * 2.0**53), 1 << 53) - 1) << 11 | 0x7FF)
-        for x in (params.alpha_edge, params.alpha_edge + params.beta_edge)
-    ]
+    limits = [_word_limit(x) for x in (params.alpha_edge, params.alpha_edge + params.beta_edge)]
     planes = _zero_planes(n)
     for r0, r1, (z,) in _upper_blocks(n, params.seed, (_STREAM_SIGN,)):
         bits = np.empty((2, *z.shape), dtype=bool)
@@ -208,15 +211,15 @@ def plant_lscbm(
 
     # weak weights must stay strictly inside (-sigma, sigma)
     top = np.nextafter(sigma, 0.0)
+    absent, weak_pos = _word_limit(_P_ABSENT), _word_limit(_P_ABSENT + _P_WEAK_POS)
     values = _mapped_zeros((n, n), np.float64)
     for r0, r1, (cat, mag) in _upper_blocks(n, seed, (_STREAM_SIGN, _STREAM_WEIGHT)):
-        u_cat = (cat >> np.uint64(11)).astype(np.float64) * 0.5**53
         # grid midpoints, never 0; from 1/2 up, m + 0.5 rounds to even, so 1.0
         # can occur and the clip keeps the weight below sigma
         u_mag = ((mag >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53
         weak = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
-        weak = np.where(u_cat < _P_ABSENT + _P_WEAK_POS, weak, -weak)
-        block = np.triu(np.where(u_cat < _P_ABSENT, 0.0, weak), 1)
+        weak = np.where(cat <= weak_pos, weak, -weak)
+        block = np.triu(np.where(cat <= absent, 0.0, weak), 1)
         values[r0:r1, r0:] = block
         values[r0:, r0:r1] += block.T
     # scalar writes: no core x core temporary beside the last block's arrays
