@@ -84,16 +84,16 @@ class ReturnMatrix:
 def load_prices(path: str | Path) -> PriceTable:
     """Load a wide CSV of prices, dropping tickers with unusable histories.
 
-    The file is read as UTF-8 whatever the locale.  Raises ValueError for an
-    unreadable or non-UTF-8 file or one the CSV reader rejects, a malformed
-    header, non-ascending dates, fewer than MIN_ROWS data rows, or fewer
-    than two surviving tickers.
+    The file is read as UTF-8 whatever the locale, and a leading byte-order
+    mark is skipped.  Raises ValueError for an unreadable or non-UTF-8 file
+    or one the CSV reader rejects, a malformed header, non-ascending dates,
+    fewer than MIN_ROWS data rows, or fewer than two surviving tickers.
     Dropped tickers and the reason for each drop are recorded on the returned
     table's ``drop_log``.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"cannot read price file {path}: {exc}") from exc

@@ -49,6 +49,15 @@ def test_load_clean_input_passes_through(tmp_path):
     assert table.prices.shape == (2, 6)
 
 
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    rows = [[f"2020-01-{d + 1:02d}", 10 + d, 20 + d] for d in range(6)]
+    path = write_csv(tmp_path / "p.csv", ["date", "AAA", "BBB"], rows)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    table = load_prices(path)
+    assert table.tickers == ("AAA", "BBB")
+    assert table.prices.shape == (2, 6)
+
+
 def test_load_drops_zero_price(tmp_path):
     rows = [[f"2020-01-{d + 1:02d}", 10 + d, 20 + d, 5 + d] for d in range(8)]
     rows[3][3] = 0.0  # zero price: log return undefined
