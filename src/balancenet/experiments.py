@@ -316,6 +316,8 @@ def run_multiplicity(
     number of modules of that size is >= 2; reports the frequency among
     nonempty trials per n.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     for ni, n in enumerate(n_values):
         nonempty = 0

@@ -177,3 +177,8 @@ def test_multiplicity_probe_regression_locked():
     observed = {row["n"]: row["multiple_fraction"] for row in report.rows}
     assert all(row["nonempty_trials"] == 40 for row in report.rows)
     assert observed == {8: 0.7, 10: 0.9, 12: 0.875, 14: 0.8}
+
+
+def test_run_multiplicity_rejects_bad_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_multiplicity([8], trials=0, seed=0)
