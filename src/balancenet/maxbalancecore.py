@@ -40,7 +40,8 @@ import numpy as np
 from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
-# packed-row bytes that one chunk of seeds may gather, up to n rows per seed
+# packed-row bytes one chunk of seeds may gather, up to n rows per seed; the
+# 8-byte index arrays kept per (faction, node) pair are not counted
 _CHUNK_BYTES = 32 * 1024
 
 

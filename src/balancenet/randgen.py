@@ -7,14 +7,13 @@ SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
 counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
 8-aligned blocks of rows, from the diagonal on, in buffers reused from
 block to block; both generators consume it and write each block and its
-mirror.  Both generators cut the raw 64-bit sign words at integer limits
-(``_word_limit``), so neither builds a float uniform to pick a sign.
-``sample_signed`` packs each block along its rows into the graph's sign
-planes, and mirrors it by 8 x 8 bit transposes of the packed bytes.
-``plant_lscbm`` turns the words of its weight stream into float uniforms and
-adds each block and its transpose into its float matrix.
-``pair_uniform`` computes one pair's uniform in pure Python, the scalar
-reference both generators agree with.
+mirror.  Both cut the raw 64-bit sign words at integer limits
+(``_word_limit``), building no float uniform to pick a sign.  ``sample_signed``
+packs each block along its rows into the graph's sign planes, and mirrors it
+by 8 x 8 bit transposes of the packed bytes.  ``plant_lscbm`` turns its weight
+words into float uniforms and adds each block and its transpose into its float
+matrix.  ``pair_uniform`` computes one pair's uniform in pure Python, the
+scalar reference both generators agree with.
 """
 
 from __future__ import annotations
@@ -89,10 +88,9 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
 
 
 def _word_limit(x: float) -> np.uint64:
-    """The largest 64-bit word w whose uniform (w >> 11) * 2**-53 is below x > 0."""
-    # m * 2**-53 < x  <=>  m < t = ceil(x * 2**53), the scaling being exact; the
-    # cap covers x > 1, e.g. alpha + beta above 1 by rounding.  On the word w,
-    # m = w >> 11 < t  <=>  w <= (t - 1) << 11 | 0x7FF, and t >= 1.
+    """The largest word w whose uniform (w >> 11) * 2**-53 is below x > 0: m * 2**-53
+    < x iff m < t = ceil(x * 2**53), the scaling being exact, and m = w >> 11 < t
+    iff w <= (t - 1) << 11 | 0x7FF.  The cap covers x > 1, as alpha + beta by rounding."""
     return np.uint64((min(math.ceil(x * 2.0**53), 1 << 53) - 1) << 11 | 0x7FF)
 
 

@@ -5,8 +5,7 @@ sign and every triangle has a positive sign product.  On complete signed
 subgraphs that triangle condition is equivalent to a two-faction split with
 positive edges inside factions and negative edges across (Cartwright &
 Harary's structure theorem).  Both checkers decide it by that split, in one
-helper over the int8 block of the node set; the tests hold it against a
-literal loop over every triangle.
+helper over the node set's int8 block, tested against a triangle loop.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ class SignedGraph:
             signs = cast
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        # entries lie in {-1, 0, +1}, so a cut at 1 keeps them as they are
-        self._init(_packed(signs, 1), sigma)
+        self._init(_packed(signs, 1), sigma)  # entries in {-1, 0, +1}: cut at 1 keeps them
 
     @classmethod
     def _from_planes(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
@@ -300,13 +298,9 @@ def _block(g: SignedGraph, idx: np.ndarray) -> np.ndarray:
 
 
 def _side(sub: np.ndarray) -> np.ndarray | None:
-    """The faction of each node of the int8 block ``sub``, +1 or -1, or None
-    when the block is not complete and balanced.
-
-    Row 0 with the anchor set to +1 is the only candidate split: the block
-    is complete and balanced iff that row has no zero and ``sub`` equals
-    ``outer(side, side)`` with a zero diagonal.
-    """
+    """The factions, +1 or -1, of the nodes of the int8 block ``sub``: row 0
+    with its anchor set to +1, returned iff it has no zero and ``sub`` equals
+    ``outer(side, side)`` with a zero diagonal, i.e. complete and balanced."""
     side = sub[0].copy()
     side[0] = 1
     if not side.all():
@@ -320,8 +314,7 @@ def is_scbm(g: SignedGraph, nodes: Iterable[int]) -> bool:
     """Check the balanced-module conditions on a node set.
 
     Requires at least three nodes, a nonzero sign on every pair, and a
-    positive sign product on every triangle, which on a complete block means
-    a split into two factions, +1 inside each and -1 across.
+    positive sign product on every triangle: a split into two factions.
     """
     idx = _check_nodes(g, list(nodes))
     return idx.size >= MIN_MODULE_SIZE and _side(_block(g, idx)) is not None
@@ -346,6 +339,4 @@ def bipartition(
     side = _side(sub)
     if side is None:
         return None
-    a = tuple(int(v) for v in idx[side > 0])
-    b = tuple(int(v) for v in idx[side < 0])
-    return a, b
+    return tuple(idx[side > 0].tolist()), tuple(idx[side < 0].tolist())
