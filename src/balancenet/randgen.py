@@ -90,7 +90,7 @@ def pair_uniform(seed: int, i: int, j: int, n: int, stream: int = _STREAM_SIGN) 
 def _word_limit(x: float) -> np.uint64:
     """The largest word w whose uniform (w >> 11) * 2**-53 is below x > 0: m * 2**-53
     < x iff m < t = ceil(x * 2**53), the scaling being exact, and m = w >> 11 < t
-    iff w <= (t - 1) << 11 | 0x7FF.  The cap covers x > 1, as alpha + beta by rounding."""
+    iff w <= (t - 1) << 11 | 0x7FF.  The cap covers alpha + beta above 1 by rounding."""
     return np.uint64((min(math.ceil(x * 2.0**53), 1 << 53) - 1) << 11 | 0x7FF)
 
 
