@@ -32,7 +32,7 @@ from balancenet.signedgraph import (
     is_scbm,
     to_signed,
 )
-from balancenet.maxbalancecore import DetectConfig, detect, expand, node_impacts, prune_factions
+from balancenet.maxbalancecore import DetectConfig, detect, expand, node_impacts
 from balancenet.randgen import (
     PlantedInstance,
     SignedModelParams,
@@ -82,7 +82,6 @@ __all__ = [
     "bipartition",
     "DetectConfig",
     "node_impacts",
-    "prune_factions",
     "expand",
     "detect",
     "SignedModelParams",

@@ -154,26 +154,6 @@ def _sweep(a: list, b: list, ok: np.ndarray, live: list, planes: np.ndarray) -> 
     return a, b
 
 
-def prune_factions(
-    a: Iterable[int], b: Iterable[int], g: SignedGraph
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prune two disjoint factions to the deterministic fixed point.
-
-    Within each faction of size >= 2 every surviving pair is +1; if both
-    pruned factions are nonempty every surviving cross pair is -1.  Removal
-    order is ascending node index, intra-faction (A then B) before cross.
-    """
-    a_idx = np.fromiter(a, dtype=np.intp)
-    b_idx = np.fromiter(b, dtype=np.intp)
-    if np.intersect1d(a_idx, b_idx).size:
-        raise ValueError("factions must be disjoint")
-    planes = g.bit_rows()
-    member = np.zeros((2, 8 * planes.shape[2]), dtype=bool)
-    member[0, a_idx] = member[1, b_idx] = True
-    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes)
-    return tuple(a_out[1].tolist()), tuple(b_out[1].tolist())
-
-
 def expand(
     a: Iterable[int],
     b: Iterable[int],

@@ -8,10 +8,10 @@ import pytest
 from balancenet.maxbalancecore import (
     _CHUNK_BYTES,
     DetectConfig,
+    _prune,
     detect,
     expand,
     node_impacts,
-    prune_factions,
 )
 from balancenet.oracle import exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
@@ -103,27 +103,31 @@ def test_detect_chunks_stay_within_the_budget():
 # ---------------------------------------------------------------- pruning
 
 
+def prune(a, b, g):
+    """``_prune`` on one pair of disjoint factions, packed into its (2, W) masks
+    as :func:`detect` packs a seed's A and B; the survivors as sorted tuples."""
+    planes = g.bit_rows()
+    member = np.zeros((2, 8 * planes.shape[2]), dtype=bool)
+    member[0, np.asarray(a, dtype=np.intp)] = member[1, np.asarray(b, dtype=np.intp)] = True
+    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes)
+    return tuple(a_out[1].tolist()), tuple(b_out[1].tolist())
+
+
 def test_prune_removes_lowest_index_violator_first():
     g = graph_from_edges(3, [(0, 1, 1), (0, 2, 1)])  # S12 = 0
-    assert prune_factions([0, 1, 2], [], g) == ((0, 2), ())
+    assert prune([0, 1, 2], [], g) == ((0, 2), ())
 
 
 def test_prune_cross_faction_violation():
     # A = {0, 1}, B = {2}; node 1 is positive toward B
     g = graph_from_edges(3, [(0, 1, 1), (0, 2, -1), (1, 2, 1)])
-    assert prune_factions([0, 1], [2], g) == ((0,), (2,))
+    assert prune([0, 1], [2], g) == ((0,), (2,))
 
 
 def test_prune_valid_factions_unchanged():
     edges = [(0, 1, 1), (2, 3, 1), (0, 2, -1), (0, 3, -1), (1, 2, -1), (1, 3, -1)]
     g = graph_from_edges(4, edges)
-    assert prune_factions([0, 1], [2, 3], g) == ((0, 1), (2, 3))
-
-
-def test_prune_rejects_overlapping_factions():
-    g = graph_from_edges(3, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        prune_factions([0, 1], [1, 2], g)
+    assert prune([0, 1], [2, 3], g) == ((0, 1), (2, 3))
 
 
 def test_prune_reaches_fixed_point():
@@ -135,7 +139,7 @@ def test_prune_reaches_fixed_point():
         g = SignedGraph(signs=(upper + upper.T).astype(np.int8))
         nodes = rng.permutation(n)
         split = int(rng.integers(0, n + 1))
-        a, b = prune_factions(nodes[:split], nodes[split:], g)
+        a, b = prune(nodes[:split], nodes[split:], g)
         # post-state: positive cliques inside, all-negative across
         for group in (a, b):
             if len(group) >= 2:
@@ -145,7 +149,7 @@ def test_prune_reaches_fixed_point():
         if a and b:
             assert (g.signs[np.ix_(a, b)] == -1).all()
         # idempotence at the fixed point
-        assert prune_factions(a, b, g) == (a, b)
+        assert prune(a, b, g) == (a, b)
 
 
 def reference_prune(a, b, signs):
@@ -176,7 +180,7 @@ def test_prune_matches_literal_definition(alpha, beta):
         nodes = rng.permutation(n)[: int(rng.integers(0, n + 1))]
         split = int(rng.integers(0, nodes.size + 1))
         a, b = nodes[:split].tolist(), nodes[split:].tolist()
-        assert prune_factions(a, b, g) == reference_prune(a, b, g.signs)
+        assert prune(a, b, g) == reference_prune(a, b, g.signs)
 
 
 def reference_expand(a, b, signs, candidates):
@@ -206,7 +210,7 @@ def test_packed_kernels_match_the_int8_rules(n):
             a, b = [], a + b
         elif trial % 5 == 1:
             a, b = a + b, []
-        pruned = prune_factions(a, b, g)
+        pruned = prune(a, b, g)
         assert pruned == reference_prune(a, b, g.signs)
         # duplicates, members and untied nodes among the candidates
         cands = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))).tolist()
