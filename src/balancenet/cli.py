@@ -41,7 +41,7 @@ from balancenet.ingest import load_prices, log_returns
 from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect, node_impacts
 from balancenet.oracle import EnumerationBudgetError, exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
-from balancenet.signedgraph import DEFAULT_SIGMA, Module, to_signed
+from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, Module, bipartition, to_signed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,10 +78,23 @@ def _write_report(obj, out: Path, fmt: str) -> None:
     _atomic_write(out, text)
 
 
-def _load_module(path: Path, n: int) -> Module:
+def _load_module(path: Path, v: ValidatedCorrMatrix, sigma: float) -> Module:
+    """The module report at ``path``, checked to be empty or a balanced module of
+    ``v`` with its factions, at the report's sigma or, when that is null, ``sigma``."""
     module = Module.from_report(json.loads(path.read_text()))
-    if module.nodes and (module.nodes[0] < 0 or module.nodes[-1] >= n):
-        raise ValueError(f"{path}: module node index outside 0..{n - 1}")
+    if module.nodes and (module.nodes[0] < 0 or module.nodes[-1] >= v.n):
+        raise ValueError(f"{path}: module node index outside 0..{v.n - 1}")
+    if module.size == 0:
+        return module
+    cut = sigma if module.sigma is None else module.sigma
+    g = to_signed(v, cut)
+    try:
+        split = bipartition(g, module.nodes)
+    except ValueError:  # some pair of the module has no edge at cut
+        split = None
+    factions = module.faction_a, module.faction_b
+    if module.size < MIN_MODULE_SIZE or split not in (factions, factions[::-1]):
+        raise ValueError(f"{path}: not a balanced module of the network at sigma={cut}")
     return module
 
 
@@ -108,7 +121,7 @@ def _cmd_build_net(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     v = load_validated(args.net)
     if args.module:
-        module = _load_module(Path(args.module), v.n)
+        module = _load_module(Path(args.module), v, args.sigma)
     else:
         module = detect(to_signed(v, args.sigma), DetectConfig(max_seeds=args.max_seeds))
     stats = network_stats(v, module)

@@ -332,6 +332,37 @@ def test_stats_module_repeated_node_exit_code(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_stats_module_must_be_balanced_at_its_sigma(tmp_path, capsys):
+    net = tmp_path / "net"
+    main(["gen-random", "--n", "30", "--alpha-edge", "0.05", "--beta-edge", "0.05", "--rng-seed", "1", "--out", str(net)])
+    module_path, out = tmp_path / "module.json", tmp_path / "s.json"
+
+    def stats(net, faction_a, faction_b, sigma, *flags):
+        module_path.write_text(json.dumps({"faction_a": faction_a, "faction_b": faction_b, "sigma": sigma}))
+        return main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(out), *flags])
+
+    capsys.readouterr()
+    assert stats(net, list(range(20)), [], 0.7) == EXIT_INPUT
+    assert f"{module_path}: not a balanced module of the network at sigma=0.7" in capsys.readouterr().err
+    assert not out.exists()
+
+    # factions {0, 1} and {2} at cuts up to 0.5; no edge above it
+    tri = tmp_path / "tri"
+    values = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
+    save_validated(ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None), tri)
+    assert stats(tri, [2], [0, 1], 0.5) == 0
+    assert stats(tri, [0, 1], [2], None, "--sigma", "0.5") == 0
+    out.unlink()
+    assert stats(tri, [0, 1], [2], None, "--sigma", "0.6") == EXIT_INPUT
+    assert stats(tri, [0, 1], [2], 0.6, "--sigma", "0.5") == EXIT_INPUT
+    assert stats(tri, [0, 1, 2], [], 0.5) == EXIT_INPUT
+    assert stats(tri, [0, 2], [1], 0.5) == EXIT_INPUT
+    assert stats(tri, [0, 1], [], 0.5) == EXIT_INPUT
+    assert not out.exists()
+    assert stats(tri, [], [], 0.6) == 0
+    capsys.readouterr()
+
+
 def test_bad_meta_exit_code(tmp_path, capsys):
     net = tmp_path / "net"
     main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
