@@ -253,10 +253,12 @@ def validate(
     precomputed once.  ``method="tstat"`` compares ``t_statistic``'s formula,
     evaluated over the upper triangle, with the critical value directly;
     both routes must agree exactly and the second exists for that
-    cross-check.
+    cross-check.  ``tickers``, when given, names each of the n rows.
     """
     if t_len < 4:
         raise ValueError("need T >= 4 so that nu = T - 2 >= 2")
+    if tickers is not None and len(tickers) != corr.n:
+        raise ValueError(f"{len(tickers)} tickers for n={corr.n}")
     values = corr.values
     if method == "threshold":
         r_star = critical_correlation(t_len, alpha_level)

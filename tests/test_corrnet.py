@@ -279,6 +279,14 @@ def test_save_load_round_trip(tmp_path):
     assert back.tickers == v.tickers
 
 
+def test_validate_rejects_tickers_that_do_not_name_every_node():
+    # save_validated would write such a network and load_validated refuse it
+    c = pearson_matrix(np.random.default_rng(21).normal(size=(3, 25)))
+    with pytest.raises(ValueError, match="1 tickers for n=3"):
+        validate(c, t_len=25, tickers=("A",))
+    assert validate(c, t_len=25, tickers=("A", "B", "C")).tickers == ("A", "B", "C")
+
+
 def test_load_validated_missing_files(tmp_path):
     with pytest.raises(ValueError):
         load_validated(tmp_path / "absent")
