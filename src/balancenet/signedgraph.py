@@ -77,32 +77,25 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return x.view(np.uint8).swapaxes(-1, -2)
 
 
-def _check_symmetric(planes: np.ndarray) -> None:
-    """Raise unless each plane equals its bit transpose, compared a band of
-    ``ROW_TILE`` rows at a time, from the diagonal on, against the mirrored
-    band of columns."""
-    n = planes.shape[1]
-    for r in range(0, n, ROW_TILE):
-        rows = min(ROW_TILE, n - r)
-        band = planes[:, r : r + rows, r // 8 : r // 8 + (n - r + 7) // 8]
-        mirror = planes[:, r:, r // 8 : r // 8 + (rows + 7) // 8]
-        if not np.array_equal(band, _transpose_bits(mirror)[:, :rows]):
-            raise ValueError("signs must be symmetric")
-
-
 def _packed(values: np.ndarray, cut: float) -> np.ndarray:
     """The planes of a square matrix, +1 where an entry is >= ``cut`` and -1
-    where it is <= -``cut``, with the diagonal cleared; checked symmetric."""
+    where it is <= -``cut``, with the diagonal cleared.  Each row tile is
+    checked symmetric as it is packed: its rows up to its end must equal the
+    bit transpose of its columns over the rows packed so far, so each pair
+    meets its mirror in the tile of its larger index."""
     n = values.shape[0]
     planes = _zero_planes(n)
     used = (n + 7) // 8
     for r in range(0, n, ROW_TILE):
         tile = values[r : r + ROW_TILE]
+        end = r + tile.shape[0]
         at = np.arange(tile.shape[0])
         for plane, bits in zip(planes, (tile >= cut, tile <= -cut)):
             bits[at, r + at] = False
-            plane[r : r + ROW_TILE, :used] = np.packbits(bits, axis=1, bitorder="little")
-    _check_symmetric(planes)
+            plane[r:end, :used] = np.packbits(bits, axis=1, bitorder="little")
+        mirror = _transpose_bits(planes[:, :end, r // 8 : (end + 7) // 8])
+        if not np.array_equal(planes[:, r:end, : (end + 7) // 8], mirror[:, : end - r]):
+            raise ValueError("signs must be symmetric")
     return planes
 
 
