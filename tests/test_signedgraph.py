@@ -83,6 +83,16 @@ def test_signed_graph_rejects_one_broken_mirror_pair(n):
             SignedGraph(signs=signs)
 
 
+def test_signed_graph_is_immutable():
+    g = SignedGraph(signs=np.array([[0, 1], [1, 0]], dtype=np.int8), sigma=0.7)
+    for name, value in (("sigma", 0.5), ("_planes", np.zeros((2, 2, 8), np.uint8)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        g.bit_rows()[0, 0, 0] = 0
+    assert g.sigma == 0.7 and g.signs[0, 1] == 1
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_signed_graph_accepts_empty_and_single_node(n):
     assert SignedGraph(signs=np.zeros((n, n), dtype=np.int8)).n == n
