@@ -260,14 +260,14 @@ def validate(
     if tickers is not None and len(tickers) != corr.n:
         raise ValueError(f"{len(tickers)} tickers for n={corr.n}")
     values = corr.values
+    if not (np.abs(values) <= 1).all():  # also true for NaN
+        raise ValueError("correlation must lie in [-1, 1]")
     if method == "threshold":
         r_star = critical_correlation(t_len, alpha_level)
         mask = np.abs(values) > r_star
     elif method == "tstat":
         t_star = t_critical(t_len - 2, alpha_level)
         upper = np.triu(values, 1)
-        if (np.abs(upper) > 1).any():
-            raise ValueError("correlation must lie in [-1, 1]")
         with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
             t = upper * np.sqrt((t_len - 2) / (1.0 - upper * upper))
         mask = np.abs(t) > t_star

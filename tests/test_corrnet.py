@@ -219,6 +219,14 @@ def test_validate_tstat_rejects_correlation_above_one():
         validate(pair_matrix(3, 0, 2, np.nextafter(1.0, 2.0)), t_len=10, method="tstat")
 
 
+@pytest.mark.parametrize("method", ["threshold", "tstat"])
+@pytest.mark.parametrize("value", [1.5, -1.5, np.nextafter(1.0, 2.0), np.nan])
+def test_validate_rejects_correlation_outside_unit_interval_on_both_routes(method, value):
+    # the default route kept 1.5, which save_validated wrote and load_validated refused
+    with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+        validate(pair_matrix(3, 0, 1, value), t_len=10, method=method)
+
+
 # ---------------------------------------------------------------- summary stats
 
 
