@@ -379,18 +379,19 @@ def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str
     if not _is_int(n) or n < 0:
         raise ValueError(f"{meta_path}: n must be a non-negative integer, got {n!r}")
     t_len = meta.get("t_len")
-    if t_len is not None and not _is_int(t_len):
-        raise ValueError(f"{meta_path}: t_len must be null or an integer, got {t_len!r}")
-    alpha_level = meta.get("alpha_level")
-    if alpha_level is not None and not _is_number(alpha_level):
-        raise ValueError(f"{meta_path}: alpha_level must be null or a number, got {alpha_level!r}")
+    # validate's own preconditions: T >= 4 and a level in (0, 1)
+    if t_len is not None and not (_is_int(t_len) and t_len >= 4):
+        raise ValueError(f"{meta_path}: t_len must be null or an integer >= 4, got {t_len!r}")
+    alpha = meta.get("alpha_level")
+    if alpha is not None and not (_is_number(alpha) and 0 < alpha < 1):
+        raise ValueError(f"{meta_path}: alpha_level must be null or a number in (0, 1), got {alpha!r}")
     tickers = meta.get("tickers")
     if tickers is not None:
         if not isinstance(tickers, list) or not all(isinstance(t, str) for t in tickers):
             raise ValueError(f"{meta_path}: tickers must be null or a list of strings")
         if len(tickers) != n:
             raise ValueError(f"{meta_path}: {len(tickers)} tickers for n={n}")
-    return n, t_len, alpha_level, tickers
+    return n, t_len, alpha, tickers
 
 
 _EDGE_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
@@ -409,8 +410,9 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     Raises ValueError on a row that does not hold two integers and a number,
     an index pair outside 0 <= i < j < n, a weight that is not a finite value
     in [-1, 1], a pair listed twice, or a ``meta.json`` that is not an object
-    holding a non-negative integer ``n``, an integer or null ``t_len``, a
-    number or null ``alpha_level``, and null or n strings as ``tickers``.
+    holding a non-negative integer ``n``, null or an integer >= 4 as
+    ``t_len``, null or a number in (0, 1) as ``alpha_level``, and null or n
+    strings as ``tickers``.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / META_FILE

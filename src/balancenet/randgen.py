@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from balancenet.corrnet import ValidatedCorrMatrix
-from balancenet.signedgraph import SignedGraph, _mapped_zeros, _transpose_bits, _zero_planes
+from balancenet.signedgraph import SignedGraph, _mapped_zeros, _transpose_bits, _valid_sigma, _zero_planes
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -199,7 +199,7 @@ def plant_lscbm(
     core = n_a + n_b
     if core != 0 and core < 3:
         raise ValueError("planted core needs at least 3 nodes (or none at all)")
-    if not 0.0 < sigma <= 1.0:
+    if not _valid_sigma(sigma):
         raise ValueError("sigma must lie in (0, 1]")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

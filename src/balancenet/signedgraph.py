@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.corrnet import ValidatedCorrMatrix
+from balancenet.corrnet import ValidatedCorrMatrix, _is_int, _is_number
 
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
@@ -29,6 +29,11 @@ ROW_TILE = 256
 # (shift, mask) steps of the 8 x 8 bit transpose of a 64-bit word whose byte k
 # is row k: bit 8k + l trades places with bit 8l + k
 _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _valid_sigma(sigma: float) -> bool:
+    """True iff 0 < sigma <= 1, the thresholds a graph can be cut at; False for NaN."""
+    return 0.0 < sigma <= 1.0
 
 
 def _mapped_zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
@@ -113,7 +118,7 @@ class SignedGraph:
     __slots__ = ("_planes", "sigma")
 
     def __init__(self, signs: np.ndarray, sigma: float | None = None) -> None:
-        if sigma is not None and not 0.0 < sigma <= 1.0:
+        if sigma is not None and not _valid_sigma(sigma):
             raise ValueError("sigma must lie in (0, 1]")
         signs = np.asarray(signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
@@ -230,19 +235,17 @@ class Module:
         """Rebuild a module from :meth:`to_report` output, e.g. parsed JSON.
 
         Raises ValueError unless both factions are lists of distinct integers,
-        disjoint from each other, and ``sigma`` is null or a number.
+        disjoint from each other, and ``sigma`` is null or a number in (0, 1].
         """
         if not isinstance(report, dict):
             raise ValueError("module report must be a JSON object")
         for key in ("faction_a", "faction_b"):
             nodes = report.get(key)
-            if not isinstance(nodes, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in nodes
-            ):
+            if not isinstance(nodes, list) or not all(map(_is_int, nodes)):
                 raise ValueError(f"module report: {key} must be a list of integers")
         sigma = report.get("sigma")
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float, type(None))):
-            raise ValueError(f"module report: sigma must be null or a number, got {sigma!r}")
+        if sigma is not None and not (_is_number(sigma) and _valid_sigma(sigma)):
+            raise ValueError(f"module report: sigma must be null or a number in (0, 1], got {sigma!r}")
         return cls(
             faction_a=tuple(report["faction_a"]),
             faction_b=tuple(report["faction_b"]),
@@ -255,7 +258,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
 
     The boundary is inclusive: an entry exactly at sigma keeps its sign.
     """
-    if not 0.0 < sigma <= 1.0:
+    if not _valid_sigma(sigma):
         raise ValueError("sigma must lie in (0, 1]")
     if v.values.ndim != 2 or v.values.shape[0] != v.values.shape[1]:
         raise ValueError("signs must be a square matrix")

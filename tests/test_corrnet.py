@@ -347,8 +347,15 @@ def test_load_validated_rejects_bad_meta_shape(tmp_path):
         ("t_len", "30", "t_len must be null or an integer"),
         ("t_len", 29.5, "t_len must be null or an integer"),
         ("t_len", True, "t_len must be null or an integer"),
+        ("t_len", -5, "t_len must be null or an integer >= 4"),
+        ("t_len", 2, "t_len must be null or an integer >= 4"),
+        ("t_len", 3, "t_len must be null or an integer >= 4"),
         ("alpha_level", "0.05", "alpha_level must be null or a number"),
         ("alpha_level", False, "alpha_level must be null or a number"),
+        ("alpha_level", 7.0, r"alpha_level must be null or a number in \(0, 1\)"),
+        ("alpha_level", 0.0, r"alpha_level must be null or a number in \(0, 1\)"),
+        ("alpha_level", 1, r"alpha_level must be null or a number in \(0, 1\)"),
+        ("alpha_level", -0.05, r"alpha_level must be null or a number in \(0, 1\)"),
     ],
 )
 def test_load_validated_rejects_bad_meta_field(tmp_path, field, value, message):

@@ -433,6 +433,10 @@ def test_module_report_round_trip():
         ({"faction_a": [0, 1], "faction_b": "2", "sigma": 0.7}, "faction_b must be a list of integers"),
         ({"faction_a": [0, 1], "faction_b": [2], "sigma": "0.7"}, "sigma must be null or a number"),
         ([[0, 1], [2]], "must be a JSON object"),
+        ({"faction_a": [0, 1], "faction_b": [2], "sigma": 1.5}, r"sigma must be null or a number in \(0, 1\]"),
+        ({"faction_a": [0, 1], "faction_b": [2], "sigma": 0}, r"sigma must be null or a number in \(0, 1\]"),
+        ({"faction_a": [0, 1], "faction_b": [2], "sigma": -0.7}, r"sigma must be null or a number in \(0, 1\]"),
+        ({"faction_a": [0, 1], "faction_b": [2], "sigma": float("nan")}, r"sigma must be null or a number in \(0, 1\]"),
     ],
 )
 def test_module_from_report_rejects_bad_report(report, message):
