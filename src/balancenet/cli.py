@@ -81,7 +81,10 @@ def _write_report(obj, out: Path, fmt: str) -> None:
 def _load_module(path: Path, v: ValidatedCorrMatrix, sigma: float) -> Module:
     """The module report at ``path``, checked to be empty or a balanced module of
     ``v`` with its factions, at the report's sigma or, when that is null, ``sigma``."""
-    module = Module.from_report(json.loads(path.read_text()))
+    try:
+        module = Module.from_report(json.loads(path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if module.nodes and (module.nodes[0] < 0 or module.nodes[-1] >= v.n):
         raise ValueError(f"{path}: module node index outside 0..{v.n - 1}")
     if module.size == 0:

@@ -17,11 +17,10 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
@@ -31,8 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_ALPHA_LEVEL = 0.05
 
-EDGE_FILE = "edges.tsv"
+EDGE_FILE = "edges.npy"
 META_FILE = "meta.json"
+EDGE_DTYPE = np.dtype([("i", "<i4"), ("j", "<i4"), ("w", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -208,23 +208,24 @@ def student_t_cdf(x: float, nu: float) -> float:
 def t_critical(nu: float, alpha_level: float) -> float:
     """Two-sided critical value t* with P(|t| > t*) = alpha_level.
 
-    Solved by doubling to bracket the quantile, then bisecting the CDF to an
-    interval of width 1e-10.
+    Solved by doubling to bracket the quantile, then bisecting the tail
+    CDF(-t) against alpha_level / 2 (not the CDF against 1 - alpha_level / 2,
+    which loses small levels) to an interval of width 1e-10.
     """
     if nu < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if not 0.0 < alpha_level < 1.0:
         raise ValueError("alpha_level must lie in (0, 1)")
-    target = 1.0 - 0.5 * alpha_level
+    target = 0.5 * alpha_level
     lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, nu) < target:
+    while student_t_cdf(-hi, nu) > target:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
             raise RuntimeError("failed to bracket the t quantile")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, nu) < target:
+        if student_t_cdf(-mid, nu) > target:
             lo = mid
         else:
             hi = mid
@@ -311,15 +312,15 @@ def network_stats(v: ValidatedCorrMatrix, module: "Module") -> NetworkStats:
 
 
 @contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """Open a temp file beside ``path`` for writing; rename it over ``path`` on success.
+def _atomic_open(path: Path) -> Iterator[BinaryIO]:
+    """Open a temp file beside ``path`` for binary writing; rename it over ``path`` on success.
 
     Readers see either the old file or the complete new one.  On any error
     the temp file is removed and ``path`` is left as it was.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -330,29 +331,33 @@ def _atomic_open(path: Path) -> Iterator[TextIO]:
 
 def _atomic_write(path: Path, text: str) -> None:
     with _atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
 def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
-    """Write a sparse TSV edge list plus a JSON sidecar.
+    """Write the edges as ``edges.npy`` plus a JSON sidecar ``meta.json``.
 
-    Edge rows are ``i<TAB>j<TAB>weight`` with i < j and zero-based indices,
-    in ascending (i, j) order; only the upper triangle of ``v.values`` is
-    read.  Each row's kept entries are cast to float64 (integer sign
-    matrices are accepted) and written with repr, so they round-trip
-    bit-exactly.  The rows are written one node row at a time, so only one
-    row's text is held in memory.  The sidecar holds
+    ``edges.npy`` is a 1-D array of :data:`EDGE_DTYPE` records (i, j, w), one
+    per nonzero entry of the upper triangle of ``v.values``, zero-based, in
+    ascending (i, j) order.  Weights are cast to float64 (integer sign
+    matrices are accepted) and round-trip bit-exactly.  A first pass counts
+    the edges for the header; the records are then written one node row at
+    a time, so only one row's are held in memory.  The sidecar holds
     {n, t_len, alpha_level, tickers}.  Both files are replaced atomically.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = v.n
+    count = sum(int(np.count_nonzero(v.values[i, i + 1 :])) for i in range(n - 1))
+    header = {"descr": np.lib.format.dtype_to_descr(EDGE_DTYPE), "fortran_order": False, "shape": (count,)}
     with _atomic_open(out_dir / EDGE_FILE) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
         for i in range(n - 1):
             row = v.values[i, i + 1 :]
             cols = np.flatnonzero(row)
-            weights = row[cols].astype(np.float64, copy=False).tolist()
-            fh.write("".join(f"{i}\t{j}\t{w!r}\n" for j, w in zip((cols + (i + 1)).tolist(), weights)))
+            edges = np.empty(cols.size, dtype=EDGE_DTYPE)
+            edges["i"], edges["j"], edges["w"] = i, cols + (i + 1), row[cols]
+            fh.write(edges)
     meta = {
         "n": n,
         "t_len": v.t_len,
@@ -376,8 +381,8 @@ def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object")
     n = meta.get("n")
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"{meta_path}: n must be a non-negative integer, got {n!r}")
+    if not _is_int(n) or not 0 <= n < 2**31:  # node indices are int32
+        raise ValueError(f"{meta_path}: n must be a non-negative integer below 2**31, got {n!r}")
     t_len = meta.get("t_len")
     # validate's own preconditions: T >= 4 and a level in (0, 1)
     if t_len is not None and not (_is_int(t_len) and t_len >= 4):
@@ -394,22 +399,18 @@ def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str
     return n, t_len, alpha, tickers
 
 
-_EDGE_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
-
-
 def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     """Read a matrix previously written by :func:`save_validated`.
 
-    The edge file is parsed in one bulk pass by ``np.loadtxt``; empty lines
-    are skipped and CRLF line ends are accepted.  Each check then runs once
-    over whole columns and reports the first row that fails it as
-    ``edges.tsv:<k>:``, where k counts edge rows from 1.  That is the line
-    number whenever the file has no blank lines, which
-    :func:`save_validated` never writes.
+    ``edges.npy`` must be one ``.npy`` array (pickled objects are refused
+    and nothing may follow it), 1-D and of exactly :data:`EDGE_DTYPE`.  Its
+    records are then checked over whole columns: 0 <= i < j < n, |w| <= 1
+    (NaN fails), and keys i*n + j that strictly increase, so the pairs are in
+    ascending (i, j) order and none is listed twice.  A failed record check
+    names the file and the first failing record's zero-based row index.
 
-    Raises ValueError on a row that does not hold two integers and a number,
-    an index pair outside 0 <= i < j < n, a weight that is not a finite value
-    in [-1, 1], a pair listed twice, or a ``meta.json`` that is not an object
+    Raises ValueError on an edge file that fails any of these checks or
+    cannot be read as ``.npy``, or on a ``meta.json`` that is not an object
     holding a non-negative integer ``n``, null or an integer >= 4 as
     ``t_len``, null or a number in (0, 1) as ``alpha_level``, and null or n
     strings as ``tickers``.
@@ -420,36 +421,30 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     if not meta_path.is_file() or not edge_path.is_file():
         raise ValueError(f"{in_dir} does not contain {EDGE_FILE} and {META_FILE}")
     n, t_len, alpha_level, tickers = _read_meta(meta_path)
-    with warnings.catch_warnings():
-        # a network with no edges is valid
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # numpy releases that still parse "1.0" as an integer index only warn
-        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+    with edge_path.open("rb") as fh:
         try:
-            rows = np.loadtxt(
-                edge_path, delimiter="\t", comments=None, ndmin=1, dtype=_EDGE_DTYPE
-            )
+            edges = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
             raise ValueError(f"{edge_path}: {exc}") from exc
-    i, j, w = rows["i"], rows["j"], rows["w"]
+        if fh.read(1):
+            raise ValueError(f"{edge_path}: data after the last record")
+    if edges.dtype != EDGE_DTYPE or edges.ndim != 1:
+        raise ValueError(f"{edge_path}: need a 1-d {EDGE_DTYPE} array, got {edges.dtype} of shape {edges.shape}")
+    i, j, w = edges["i"], edges["j"], edges["w"]
 
     bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"{edge_path}:{k + 1}: bad index pair ({i[k]}, {j[k]})")
+        raise ValueError(f"{edge_path}: row {k}: bad index pair ({i[k]}, {j[k]})")
     bad = np.flatnonzero(~(np.abs(w) <= 1.0))  # also true for NaN
     if bad.size:
         k = bad[0]
-        raise ValueError(f"{edge_path}:{k + 1}: weight {float(w[k])!r} is not in [-1, 1]")
-    # A stable sort keeps each pair's rows in file order, so every row after
-    # the first of its run repeats an earlier row.
-    keys = i * n + j
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeats = order[1:][keys[1:] == keys[:-1]]
-    if repeats.size:
-        k = repeats.min()
-        raise ValueError(f"{edge_path}:{k + 1}: pair ({i[k]}, {j[k]}) listed twice")
+        raise ValueError(f"{edge_path}: row {k}: weight {float(w[k])!r} is not in [-1, 1]")
+    keys = i.astype(np.int64) * n + j  # int64: i * n overflows int32 from n of about 46k
+    bad = np.flatnonzero(np.diff(keys) <= 0)
+    if bad.size:
+        k = bad[0] + 1
+        raise ValueError(f"{edge_path}: row {k}: pair ({i[k]}, {j[k]}) does not follow ({i[k - 1]}, {j[k - 1]})")
 
     values = np.zeros((n, n))
     values[i, j] = w

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from balancenet.cli import EXIT_BUDGET, EXIT_INPUT, main
-from balancenet.corrnet import ValidatedCorrMatrix, load_validated, save_validated
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, load_validated, save_validated
 from balancenet.randgen import SignedModelParams, sample_signed
 
 
@@ -33,7 +34,7 @@ def test_build_net_detect_stats_pipeline(tmp_path, capsys):
     csv = write_price_csv(tmp_path / "prices.csv")
     net = tmp_path / "net"
     assert main(["build-net", "--in", str(csv), "--out", str(net)]) == 0
-    assert (net / "edges.tsv").is_file()
+    assert (net / "edges.npy").is_file()
     meta = json.loads((net / "meta.json").read_text())
     assert meta["n"] == 4
     assert meta["alpha_level"] == 0.05
@@ -119,14 +120,14 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     net1, net2 = tmp_path / "n1", tmp_path / "n2"
     main(["build-net", "--in", str(csv), "--out", str(net1)])
     main(["build-net", "--in", str(csv), "--out", str(net2)])
-    assert (net1 / "edges.tsv").read_bytes() == (net2 / "edges.tsv").read_bytes()
+    assert (net1 / "edges.npy").read_bytes() == (net2 / "edges.npy").read_bytes()
     assert (net1 / "meta.json").read_bytes() == (net2 / "meta.json").read_bytes()
 
     g1, g2 = tmp_path / "g1", tmp_path / "g2"
     args = ["gen-random", "--n", "30", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "7"]
     main(args + ["--out", str(g1)])
     main(args + ["--out", str(g2)])
-    assert (g1 / "edges.tsv").read_bytes() == (g2 / "edges.tsv").read_bytes()
+    assert (g1 / "edges.npy").read_bytes() == (g2 / "edges.npy").read_bytes()
     capsys.readouterr()
 
 
@@ -137,7 +138,7 @@ def test_gen_random_writes_the_float_matrix_bytes(tmp_path, capsys):
     values = sample_signed(SignedModelParams(n=300, alpha_edge=0.5, beta_edge=0.2, seed=7)).signs.astype(float)
     np.fill_diagonal(values, 1.0)
     save_validated(ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None), tmp_path / "ref")
-    for name in ("edges.tsv", "meta.json"):
+    for name in ("edges.npy", "meta.json"):
         assert (tmp_path / "net" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
     capsys.readouterr()
 
@@ -302,11 +303,49 @@ def test_usage_errors_exit_two(tmp_path):
 def test_bad_edge_file_exit_code(tmp_path, capsys):
     net = tmp_path / "net"
     main(["gen-random", "--n", "10", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "1", "--out", str(net)])
-    with (net / "edges.tsv").open("a") as fh:
-        fh.write("0\t1\tnan\n")
+    edges = np.load(net / "edges.npy")
+    edges["w"][3] = np.nan
+    np.save(net / "edges.npy", edges)
     code = main(["detect", "--net", str(net), "--out", str(tmp_path / "m.json")])
     assert code == EXIT_INPUT
-    assert "not in [-1, 1]" in capsys.readouterr().err
+    assert "edges.npy: row 3: weight nan is not in [-1, 1]" in capsys.readouterr().err
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+GOOD_EDGES = _npy(np.array([(0, 1, 0.5), (1, 2, -0.5)], dtype=EDGE_DTYPE))
+MALFORMED_EDGE_FILES = {
+    "wrong-dtype": _npy(np.array([(0, 1, 0.5)], dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")])),
+    "big-endian": _npy(np.array([(0, 1, 0.5)], dtype=EDGE_DTYPE.newbyteorder(">"))),
+    "2-d": _npy(np.array([[(0, 1, 0.5)]], dtype=EDGE_DTYPE)),
+    "object": _npy(np.array([0, 1, 0.5], dtype=object)),
+    "unsorted": _npy(np.array([(1, 2, 0.5), (0, 1, 0.5)], dtype=EDGE_DTYPE)),
+    "repeated": _npy(np.array([(0, 1, 0.5), (0, 1, 0.5)], dtype=EDGE_DTYPE)),
+    "i-ge-j": _npy(np.array([(1, 1, 0.5)], dtype=EDGE_DTYPE)),
+    "j-ge-n": _npy(np.array([(0, 3, 0.5)], dtype=EDGE_DTYPE)),
+    "nan": _npy(np.array([(0, 1, np.nan)], dtype=EDGE_DTYPE)),
+    "1.5": _npy(np.array([(0, 1, 1.5)], dtype=EDGE_DTYPE)),
+    "-1.5": _npy(np.array([(0, 1, -1.5)], dtype=EDGE_DTYPE)),
+    "empty-file": b"",
+    "truncated": GOOD_EDGES[:-8],
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "stats", "oracle"])
+@pytest.mark.parametrize("case", list(MALFORMED_EDGE_FILES))
+def test_malformed_edge_file_exit_code(tmp_path, capsys, command, case):
+    net = tmp_path / "net"
+    save_validated(ValidatedCorrMatrix(values=np.eye(3), t_len=None, alpha_level=None), net)
+    (net / "edges.npy").write_bytes(MALFORMED_EDGE_FILES[case])
+    code = main([command, "--net", str(net), "--out", str(tmp_path / "out.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {net / 'edges.npy'}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_stats_module_out_of_range_exit_code(tmp_path, capsys):
@@ -379,8 +418,13 @@ def test_stats_module_bad_entries_exit_code(tmp_path, capsys):
     net = tmp_path / "net"
     main(["build-net", "--in", str(csv), "--out", str(net)])
     module_path = tmp_path / "module.json"
-    module_path.write_text(json.dumps({"faction_a": ["x"], "faction_b": [], "sigma": 0.7}))
-    code = main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(tmp_path / "s.json")])
-    assert code == EXIT_INPUT
-    assert "faction_a must be a list of integers" in capsys.readouterr().err
-    assert not (tmp_path / "s.json").exists()
+    capsys.readouterr()
+    for report, message in [
+        ({"faction_a": ["x"], "faction_b": [], "sigma": 0.7}, "faction_a must be a list of integers"),
+        ({"faction_a": [0, 1, 2], "faction_b": [], "sigma": 1.5}, "sigma must be null or a number in (0, 1], got 1.5"),
+    ]:
+        module_path.write_text(json.dumps(report))
+        code = main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {module_path}: module report: {message}\n"
+        assert not (tmp_path / "s.json").exists()

@@ -1,14 +1,16 @@
 """Tests for the correlation matrix and the significance filter."""
 
+import io
 import json
 import math
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from balancenet.corrnet import (
+    EDGE_DTYPE,
     CorrMatrix,
     ValidatedCorrMatrix,
     critical_correlation,
@@ -107,10 +109,11 @@ def test_t_statistic_errors():
 
 @pytest.mark.parametrize(
     "nu, alpha",
-    [(1, 0.5), (2, 0.05), (5, 0.01), (30, 0.10), (241, 0.05), (999, 0.001)],
+    [(1, 0.5), (2, 0.05), (5, 0.01), (30, 0.10), (241, 0.05), (999, 0.001), (241, 1e-9), (241, 2.5e-10), (241, 1e-15)],
 )
 def test_t_critical_matches_reference(nu, alpha):
-    assert t_critical(nu, alpha) == pytest.approx(stats.t.ppf(1 - alpha / 2, nu), abs=1e-7)
+    # isf keeps the small levels' precision, which ppf(1 - alpha / 2) loses
+    assert t_critical(nu, alpha) == pytest.approx(stats.t.isf(alpha / 2, nu), rel=1e-10)
 
 
 def test_t_critical_landmarks():
@@ -300,35 +303,65 @@ def test_load_validated_missing_files(tmp_path):
         load_validated(tmp_path / "absent")
 
 
-def write_net(path, edge_lines, n=3, tickers=None):
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def write_net(path, edges, n=3, tickers=None):
+    """A network directory whose ``edges.npy`` holds ``edges``: (i, j, w) tuples, an array or raw bytes."""
     path.mkdir()
-    (path / "edges.tsv").write_text("".join(line + "\n" for line in edge_lines))
+    if not isinstance(edges, (bytes, np.ndarray)):
+        edges = np.array(edges, dtype=EDGE_DTYPE)
+    (path / "edges.npy").write_bytes(edges if isinstance(edges, bytes) else npy_bytes(edges))
     meta = {"n": n, "t_len": 30, "alpha_level": 0.05, "tickers": tickers}
     (path / "meta.json").write_text(json.dumps(meta))
     return path
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1.5", "-1.0000001"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1.5", "-1.5", "-1.0000001"])
 def test_load_validated_rejects_bad_weight(tmp_path, weight):
-    net = write_net(tmp_path / "net", ["0\t1\t0.5", f"1\t2\t{weight}"])
-    with pytest.raises(ValueError, match=r"edges.tsv:2: weight .* not in \[-1, 1\]"):
+    net = write_net(tmp_path / "net", [(0, 1, 0.5), (1, 2, float(weight))])
+    with pytest.raises(ValueError, match=r"edges.npy: row 1: weight .* not in \[-1, 1\]"):
         load_validated(net)
 
 
 def test_load_validated_rejects_duplicate_pair(tmp_path):
-    net = write_net(tmp_path / "net", ["0\t1\t0.5", "1\t2\t0.25", "0\t1\t-0.5"])
-    with pytest.raises(ValueError, match=r"edges.tsv:3: pair \(0, 1\) listed twice"):
+    net = write_net(tmp_path / "net", [(0, 1, 0.5), (1, 2, 0.25), (1, 2, -0.5)])
+    with pytest.raises(ValueError, match=r"edges.npy: row 2: pair \(1, 2\) does not follow \(1, 2\)"):
+        load_validated(net)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 2, 0.5), (0, 1, 0.5)], r"row 1: pair \(0, 1\) does not follow \(0, 2\)"),
+        ([(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], r"row 2: pair \(0, 2\) does not follow \(1, 2\)"),
+    ],
+    ids=["within-a-node-row", "across-node-rows"],
+)
+def test_load_validated_rejects_unsorted_rows(tmp_path, edges, message):
+    net = write_net(tmp_path / "net", edges)
+    with pytest.raises(ValueError, match=f"edges.npy: {message}"):
+        load_validated(net)
+
+
+def test_load_validated_orders_keys_in_int64(tmp_path):
+    # 46000 * 50000 wraps in int32 to a key below that of (1, 2)
+    net = write_net(tmp_path / "net", [(46_000, 46_001, 0.5), (1, 2, 0.5)], n=50_000)
+    with pytest.raises(ValueError, match=r"edges.npy: row 1: pair \(1, 2\) does not follow"):
         load_validated(net)
 
 
 def test_load_validated_rejects_ticker_count(tmp_path):
-    net = write_net(tmp_path / "net", ["0\t1\t0.5"], tickers=["A", "B"])
+    net = write_net(tmp_path / "net", [(0, 1, 0.5)], tickers=["A", "B"])
     with pytest.raises(ValueError, match="2 tickers for n=3"):
         load_validated(net)
 
 
 def test_load_validated_rejects_bad_meta_shape(tmp_path):
-    net = write_net(tmp_path / "net", ["0\t1\t0.5"])
+    net = write_net(tmp_path / "net", [(0, 1, 0.5)])
     (net / "meta.json").write_text(json.dumps([3, 30, 0.05]))
     with pytest.raises(ValueError, match="meta.json: expected a JSON object"):
         load_validated(net)
@@ -356,10 +389,11 @@ def test_load_validated_rejects_bad_meta_shape(tmp_path):
         ("alpha_level", 0.0, r"alpha_level must be null or a number in \(0, 1\)"),
         ("alpha_level", 1, r"alpha_level must be null or a number in \(0, 1\)"),
         ("alpha_level", -0.05, r"alpha_level must be null or a number in \(0, 1\)"),
+        ("n", 2**31, "n must be a non-negative integer below"),
     ],
 )
 def test_load_validated_rejects_bad_meta_field(tmp_path, field, value, message):
-    net = write_net(tmp_path / "net", ["0\t1\t0.5"])
+    net = write_net(tmp_path / "net", [(0, 1, 0.5)])
     meta = {"n": 3, "t_len": 30, "alpha_level": 0.05, "tickers": None, field: value}
     if value is None:
         del meta[field]
@@ -369,7 +403,7 @@ def test_load_validated_rejects_bad_meta_field(tmp_path, field, value, message):
 
 
 def special_weight_matrix(n=320):
-    """A validated matrix whose weights stress repr round-tripping."""
+    """A validated matrix whose weights stress bit-exact round-tripping."""
     rng = np.random.default_rng(8)
     values = rng.uniform(-1.0, 1.0, size=(n, n))
     values[rng.random((n, n)) < 0.5] = 0.0
@@ -389,60 +423,77 @@ def test_save_matches_reference_writer_and_round_trips_bit_exactly(tmp_path):
     save_validated(v, tmp_path / "net")
     iu, ju = np.triu_indices(v.n, k=1)
     kept = v.values[iu, ju] != 0.0
-    expected = "".join(
-        f"{i}\t{j}\t{w!r}\n"
-        for i, j, w in zip(iu[kept].tolist(), ju[kept].tolist(), v.values[iu, ju][kept].tolist())
-    )
-    assert (tmp_path / "net" / "edges.tsv").read_text() == expected
-    assert "\t5e-324\n" in expected and "\t1e-05\n" in expected
-    assert not any(line.startswith("7\t") or "\t7\t" in line for line in expected.splitlines())
+    expected = np.empty(int(kept.sum()), dtype=EDGE_DTYPE)
+    expected["i"], expected["j"], expected["w"] = iu[kept], ju[kept], v.values[iu, ju][kept]
+    assert (tmp_path / "net" / "edges.npy").read_bytes() == npy_bytes(expected)
+    assert {5e-324, 1e-05} <= set(expected["w"].tolist())
+    assert 7 not in expected["i"] and 7 not in expected["j"]
     back = load_validated(tmp_path / "net")
     assert back.values.tobytes() == v.values.tobytes()
     assert (back.t_len, back.alpha_level, back.tickers) == (40, 0.01, None)
 
 
+def test_save_validated_streams_its_edges(tmp_path):
+    n = 2000
+    values = np.triu(np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, n)), k=1)
+    values[np.abs(values) < 0.5] = 0.0
+    values = values + values.T
+    np.fill_diagonal(values, 1.0)
+    edges = (int(np.count_nonzero(values)) - n) // 2
+    v = ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
+    tracemalloc.start()
+    try:
+        save_validated(v, tmp_path / "net")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole edge array would take 16 bytes per edge; one node row's records fit
+    assert peak < EDGE_DTYPE.itemsize * edges
+
+
 def test_load_validated_empty_edge_file_is_identity(tmp_path):
+    # a network with no edges: an edge array of length 0
     net = write_net(tmp_path / "net", [], n=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        v = load_validated(net)
-    assert np.array_equal(v.values, np.eye(4))
-
-
-def test_load_validated_accepts_blank_line_and_crlf(tmp_path):
-    net = write_net(tmp_path / "net", [])
-    (net / "edges.tsv").write_bytes(b"0\t1\t0.5\r\n\r\n1\t2\t-0.25\r\n")
-    v = load_validated(net)
-    assert v.values[0, 1] == v.values[1, 0] == 0.5
-    assert v.values[1, 2] == v.values[2, 1] == -0.25
-    assert v.values[0, 2] == 0.0
+    assert np.array_equal(load_validated(net).values, np.eye(4))
 
 
 @pytest.mark.parametrize(
-    "row",
+    "edges, message",
     [
-        "0\t1",
-        "0\t1\t0.5\t7",
-        "1\t2\t0.5\t",
-        "1.0\t2\t0.5",
-        "-1\t2\t0.5",
-        "0\t3\t0.5",
-        "1\t1\t0.5",
+        (np.array([(0, 2), (1, 2)], dtype=[("i", "<i4"), ("j", "<i4")]), "need a 1-d"),
+        (np.zeros(2, dtype=[("i", "<i4"), ("j", "<i4"), ("w", "<f8"), ("x", "<i4")]), "need a 1-d"),
+        (np.array([(0.0, 2, 0.5), (1.0, 2, 0.5)], dtype=[("i", "<f8"), ("j", "<i4"), ("w", "<f8")]), "need a 1-d"),
+        ([(0, 2, 0.5), (-1, 2, 0.5)], r"row 1: bad index pair \(-1, 2\)"),
+        ([(0, 2, 0.5), (0, 3, 0.5)], r"row 1: bad index pair \(0, 3\)"),
+        ([(0, 2, 0.5), (1, 1, 0.5)], r"row 1: bad index pair \(1, 1\)"),
+        ([(0, 2, 0.5), (2, 1, 0.5)], r"row 1: bad index pair \(2, 1\)"),
     ],
-    ids=["2-fields", "4-fields", "trailing-tab", "float-index", "negative-index", "j-ge-n", "i-eq-j"],
+    ids=["2-fields", "4-fields", "float-index", "negative-index", "j-ge-n", "i-eq-j", "i-gt-j"],
 )
-def test_load_validated_rejects_bad_row(tmp_path, row):
-    net = write_net(tmp_path / "net", ["0\t2\t0.5", row])
-    with pytest.raises(ValueError, match="edges.tsv"):
+def test_load_validated_rejects_bad_row(tmp_path, edges, message):
+    net = write_net(tmp_path / "net", edges)
+    with pytest.raises(ValueError, match=f"edges.npy: {message}"):
         load_validated(net)
 
 
-@pytest.mark.parametrize("action", ["default", "ignore"])
-@pytest.mark.parametrize("index", ["1.0", "0.7", "1e0"])
-def test_load_validated_rejects_float_index_whatever_the_warning_filter(tmp_path, index, action):
-    # checks the behaviour of a plain run, not of the suite's warnings-as-errors setting
-    net = write_net(tmp_path / "net", ["0\t1\t0.5", f"{index}\t2\t0.5"])
-    with warnings.catch_warnings():
-        warnings.simplefilter(action)
-        with pytest.raises(ValueError, match="edges.tsv"):
-            load_validated(net)
+GOOD_EDGES = npy_bytes(np.array([(0, 1, 0.5), (1, 2, -0.25)], dtype=EDGE_DTYPE))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (np.array([(0, 1, 0.5)], dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")]), "need a 1-d"),
+        (np.array([(0, 1, 0.5)], dtype=EDGE_DTYPE.newbyteorder(">")), "need a 1-d"),
+        (np.array([[(0, 1, 0.5)]], dtype=EDGE_DTYPE), r"need a 1-d .* of shape \(1, 1\)"),
+        (np.array([0, 1, 0.5], dtype=object), "Object arrays cannot be loaded"),
+        (b"", "EOF"),
+        (GOOD_EDGES[:-8], "Failed to read all data"),
+        (GOOD_EDGES + b"\0", "data after the last record"),
+        (b"0\t1\t0.5\n", "the magic string is not correct"),
+    ],
+    ids=["wrong-dtype", "big-endian", "2-d", "object", "empty-file", "truncated", "trailing-byte", "text"],
+)
+def test_load_validated_rejects_a_file_that_is_not_an_edge_array(tmp_path, content, message):
+    net = write_net(tmp_path / "net", content)
+    with pytest.raises(ValueError, match=f"edges.npy: {message}"):
+        load_validated(net)
