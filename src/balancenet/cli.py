@@ -25,6 +25,7 @@ from balancenet.corrnet import (
     DEFAULT_ALPHA_LEVEL,
     ValidatedCorrMatrix,
     _atomic_write,
+    _save_edges,
     load_validated,
     network_stats,
     pearson_matrix,
@@ -109,11 +110,9 @@ def _cmd_build_net(args: argparse.Namespace) -> int:
         corr, t_len=returns.t_len, alpha_level=args.alpha_level, tickers=table.tickers
     )
     save_validated(validated, args.out)
-    # symmetric with a unit diagonal, so each edge is counted twice
-    edges = (int(np.count_nonzero(validated.values)) - validated.n) // 2
     print(
         f"build-net: n={validated.n} t_len={returns.t_len} "
-        f"alpha_level={args.alpha_level} edges={edges} "
+        f"alpha_level={args.alpha_level} edges={validated.edges.size} "
         f"dropped={len(table.drop_log)} -> {args.out}"
     )
     for ticker, reason in table.drop_log:
@@ -150,9 +149,8 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
         n=args.n, alpha_edge=args.alpha_edge, beta_edge=args.beta_edge, seed=seed
     )
     g = sample_signed(params)
-    # the writer reads only the upper triangle, so the int8 signs go as they are
-    save_validated(ValidatedCorrMatrix(values=g.signs, t_len=None, alpha_level=None), args.out)
     edges = int(node_impacts(g).sum()) // 2
+    _save_edges(args.out, g.n, edges, g.edge_tiles())
     print(
         f"gen-random: n={args.n} alpha_edge={args.alpha_edge} "
         f"beta_edge={args.beta_edge} edges={edges} rng-seed={seed} -> {args.out}"

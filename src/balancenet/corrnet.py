@@ -20,7 +20,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -35,42 +35,114 @@ META_FILE = "meta.json"
 EDGE_DTYPE = np.dtype([("i", "<i4"), ("j", "<i4"), ("w", "<f8")])
 
 
-@dataclass(frozen=True)
+# cells of the correlation matrix per row tile: a tile and its same-sized
+# temporaries take a few MB whatever n is
+_TILE_CELLS = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
 class CorrMatrix:
-    """Symmetric Pearson matrix with unit diagonal.
+    """Symmetric Pearson matrix with unit diagonal, read in upper row tiles.
+
+    :func:`pearson_matrix` keeps only the rows' z-scores ``z`` (unit length,
+    all zero for a row without variance) and computes each tile from them
+    when it is read (see :meth:`upper_tiles`).  A matrix given whole as
+    ``dense`` (hand-built inputs) is read from its own rows.  :attr:`values`
+    assembles the n x n matrix from the same tiles on demand.
 
     ``zero_variance`` flags rows whose return series had no variance; every
     off-diagonal entry touching such a row is 0 by convention.
     """
 
-    values: np.ndarray
     zero_variance: np.ndarray
+    z: np.ndarray | None = None
+    dense: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.zero_variance)
+
+    def upper_tiles(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(r, tile)`` for r = 0, k, 2k, ...: rows r..r + k - 1 by
+        columns r..n - 1 of the matrix, k fixed by a cell budget.
+
+        From ``z``, a tile is ``z[r:r+k] @ z[r:].T`` clipped to [-1, 1], with
+        its diagonal set to 1; the zero rows of ``z`` make every entry of a
+        zero-variance row 0.  From ``dense``, it is a view, not to be written.
+        """
+        n = self.n
+        k = max(1, _TILE_CELLS // max(n, 1))
+        for r in range(0, n, k):
+            if self.dense is not None:
+                yield r, self.dense[r : r + k, r:]
+                continue
+            tile = self.z[r : r + k] @ self.z[r:].T
+            np.clip(tile, -1.0, 1.0, out=tile)
+            np.fill_diagonal(tile, 1.0)
+            yield r, tile
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n matrix: its upper tiles mirrored, a new array unless given ``dense``."""
+        if self.dense is not None:
+            return self.dense
+        values = np.zeros((self.n, self.n))
+        for r, tile in self.upper_tiles():
+            upper = np.triu(tile, 1)
+            values[r : r + len(tile), r:] = upper
+            values[r:, r : r + len(tile)] += upper.T
+        np.fill_diagonal(values, 1.0)
+        return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidatedCorrMatrix:
-    """Correlation matrix with insignificant entries zeroed out.
+    """A validated network on ``n`` nodes, held as its edges.
 
-    Every off-diagonal entry is either 0 or the exact Pearson value it came
-    from; the diagonal is 1.  ``t_len`` and ``alpha_level`` are None for
-    synthetic matrices that never went through the significance test.  The
-    ``gen-random`` command hands :func:`save_validated` a signed graph's
-    int8 {-1, 0, +1} matrix (zero diagonal) as ``values``, which writes it
-    as the weights -1.0 and 1.0 without a float64 copy.
+    ``edges`` is a 1-D :data:`EDGE_DTYPE` array of records (i, j, w), one per
+    nonzero entry of the upper triangle, i < j, in ascending (i, j) order.
+    The matrix they stand for is symmetric with unit diagonal, and each
+    off-diagonal entry is either 0 or the exact Pearson value it came from.
+    :attr:`values` builds that n x n float64 matrix on demand (8n^2 bytes);
+    the pipeline never asks for it.  ``t_len`` and ``alpha_level`` are None
+    for synthetic networks that never went through the significance test.
     """
 
-    values: np.ndarray
-    t_len: int | None
-    alpha_level: float | None
+    n: int
+    edges: np.ndarray
+    t_len: int | None = None
+    alpha_level: float | None = None
     tickers: tuple[str, ...] | None = None
 
+    @classmethod
+    def from_values(
+        cls,
+        values: np.ndarray,
+        t_len: int | None = None,
+        alpha_level: float | None = None,
+        tickers: tuple[str, ...] | None = None,
+    ) -> "ValidatedCorrMatrix":
+        """The network of a symmetric square matrix, e.g. a hand-built one; its
+        diagonal is ignored."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError("values must be a square matrix")
+        if not np.array_equal(values, values.T, equal_nan=True):
+            raise ValueError("values must be symmetric")
+        i, j = np.nonzero(np.triu(values, 1))
+        edges = np.empty(i.size, dtype=EDGE_DTYPE)
+        edges["i"], edges["j"], edges["w"] = i, j, values[i, j]
+        return cls(len(values), edges, t_len, alpha_level, tickers)
+
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    def values(self) -> np.ndarray:
+        """The n x n float64 matrix with unit diagonal, a new array."""
+        i, j, w = self.edges["i"], self.edges["j"], self.edges["w"]
+        values = np.zeros((self.n, self.n))
+        values[i, j] = w
+        values[j, i] = w
+        np.fill_diagonal(values, 1.0)
+        return values
 
 
 @dataclass(frozen=True)
@@ -89,11 +161,13 @@ class NetworkStats:
 
 
 def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
-    """Pearson correlation matrix of the return rows.
+    """Pearson correlation matrix of the return rows, held as their z-scores.
 
-    Each unordered pair is computed once and mirrored, so the result is
-    exactly symmetric.  Zero-variance rows produce 0 correlations (flagged)
-    instead of an error, keeping index stability through the pipeline.
+    Entries are computed tile by tile when read (see
+    :meth:`CorrMatrix.upper_tiles`), each unordered pair once, so the
+    mirrored matrix is exactly symmetric and no n x n array is built.
+    Zero-variance rows produce 0 correlations (flagged) instead of an error,
+    keeping index stability through the pipeline.
     """
     data = np.asarray(getattr(returns, "returns", returns), dtype=float)
     if data.ndim != 2:
@@ -105,17 +179,9 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     dev = data - data.mean(axis=1, keepdims=True)
     norms = np.sqrt((dev * dev).sum(axis=1))
     degenerate = norms == 0.0
-    safe = np.where(degenerate, 1.0, norms)
-    z = dev / safe[:, None]
-
-    values = z @ z.T
-    np.clip(values, -1.0, 1.0, out=values)
-    upper = np.triu(values, k=1)
-    values = upper + upper.T
-    values[degenerate, :] = 0.0
-    values[:, degenerate] = 0.0
-    np.fill_diagonal(values, 1.0)
-    return CorrMatrix(values=values, zero_variance=degenerate)
+    z = dev / np.where(degenerate, 1.0, norms)[:, None]
+    z[degenerate] = 0.0  # all 0 already, unless every deviation's square underflowed
+    return CorrMatrix(zero_variance=degenerate, z=z)
 
 
 def t_statistic(c: float, t_len: int) -> float:
@@ -248,56 +314,66 @@ def validate(
     tickers: tuple[str, ...] | None = None,
     method: str = "threshold",
 ) -> ValidatedCorrMatrix:
-    """Zero out entries whose two-sided t-test fails at ``alpha_level``.
+    """Keep the entries whose two-sided t-test rejects at ``alpha_level``.
 
     ``method="threshold"`` keeps entry (i, j) iff |C_ij| > r*, with r*
     precomputed once.  ``method="tstat"`` compares ``t_statistic``'s formula,
-    evaluated over the upper triangle, with the critical value directly;
-    both routes must agree exactly and the second exists for that
-    cross-check.  ``tickers``, when given, names each of the n rows.
+    evaluated over the same tiles, with the critical value directly; both
+    routes must agree exactly and the second exists for that cross-check.
+    The kept entries of each upper tile of ``corr`` become its edges, so no
+    n x n array is built.  ``tickers``, when given, names each of the n rows.
     """
     if t_len < 4:
         raise ValueError("need T >= 4 so that nu = T - 2 >= 2")
     if tickers is not None and len(tickers) != corr.n:
         raise ValueError(f"{len(tickers)} tickers for n={corr.n}")
-    values = corr.values
-    if not (np.abs(values) <= 1).all():  # also true for NaN
-        raise ValueError("correlation must lie in [-1, 1]")
     if method == "threshold":
         r_star = critical_correlation(t_len, alpha_level)
-        mask = np.abs(values) > r_star
     elif method == "tstat":
         t_star = t_critical(t_len - 2, alpha_level)
-        upper = np.triu(values, 1)
-        with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
-            t = upper * np.sqrt((t_len - 2) / (1.0 - upper * upper))
-        mask = np.abs(t) > t_star
-        mask = mask | mask.T
     else:
         raise ValueError(f"unknown validation method {method!r}")
 
-    validated = np.where(mask, values, 0.0)
-    np.fill_diagonal(validated, 1.0)
-    return ValidatedCorrMatrix(
-        values=validated, t_len=t_len, alpha_level=alpha_level, tickers=tickers
-    )
+    edges = np.empty(0, dtype=EDGE_DTYPE)
+    count = 0
+    for r, tile in corr.upper_tiles():
+        if not (-1.0 <= tile.min() and tile.max() <= 1.0):  # also true for NaN
+            raise ValueError("correlation must lie in [-1, 1]")
+        if method == "threshold":
+            kept = (tile > r_star) | (tile < -r_star)
+        else:
+            with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
+                kept = np.abs(tile * np.sqrt((t_len - 2) / (1.0 - tile * tile))) > t_star
+        rows, width = tile.shape
+        kept[:, :rows] &= np.triu(np.ones((rows, rows), dtype=bool), 1)
+        cells = np.flatnonzero(kept)
+        end = count + cells.size
+        if end > edges.size:
+            # realloc moves a large array's pages rather than copying them, so
+            # the edges are never held twice; a quarter more keeps resizes few
+            edges.resize(end + end // 4, refcheck=False)
+        edges["i"][count:end] = np.repeat(np.arange(r, r + rows), np.count_nonzero(kept, axis=1))
+        edges["j"][count:end] = cells % width + r
+        edges["w"][count:end] = tile.ravel()[cells]
+        count = end
+    edges.resize(count, refcheck=False)
+    return ValidatedCorrMatrix(corr.n, edges, t_len, alpha_level, tickers)
 
 
 def network_stats(v: ValidatedCorrMatrix, module: "Module") -> NetworkStats:
     """Sign proportions and means over off-diagonal entries, plus coverage.
 
-    Proportions are taken over all N(N-1) ordered off-diagonal cells; by
-    symmetry they equal the unordered-pair versions.
+    Proportions are taken over all N(N-1) ordered off-diagonal cells, where
+    each edge fills two; the means are taken over the edges, which by
+    symmetry equals the mean over the cells.
     """
-    values = v.values
-    n = values.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    entries = values[off]
-    total = entries.size
-    pos = entries[entries > 0]
-    neg = entries[entries < 0]
-    xi_plus = pos.size / total if total else 0.0
-    xi_minus = neg.size / total if total else 0.0
+    n = v.n
+    w = v.edges["w"]
+    total = n * (n - 1)
+    pos = w[w > 0]
+    neg = w[w < 0]
+    xi_plus = 2 * pos.size / total if total else 0.0
+    xi_minus = 2 * neg.size / total if total else 0.0
     mu_plus = float(pos.mean()) if pos.size else None
     mu_minus = float(neg.mean()) if neg.size else None
     size = module.size
@@ -337,32 +413,42 @@ def _atomic_write(path: Path, text: str) -> None:
 def save_validated(v: ValidatedCorrMatrix, out_dir: str | Path) -> None:
     """Write the edges as ``edges.npy`` plus a JSON sidecar ``meta.json``.
 
-    ``edges.npy`` is a 1-D array of :data:`EDGE_DTYPE` records (i, j, w), one
-    per nonzero entry of the upper triangle of ``v.values``, zero-based, in
-    ascending (i, j) order.  Weights are cast to float64 (integer sign
-    matrices are accepted) and round-trip bit-exactly.  A first pass counts
-    the edges for the header; the records are then written one node row at
-    a time, so only one row's are held in memory.  The sidecar holds
-    {n, t_len, alpha_level, tickers}.  Both files are replaced atomically.
+    ``edges.npy`` is a 1-D array of :data:`EDGE_DTYPE` records (i, j, w): the
+    network's edges as it holds them, zero-based, in ascending (i, j) order.
+    Weights round-trip bit-exactly.  The sidecar holds {n, t_len,
+    alpha_level, tickers}.  Both files are replaced atomically.
     """
+    _save_edges(out_dir, v.n, v.edges.size, [v.edges], v.t_len, v.alpha_level, v.tickers)
+
+
+def _save_edges(
+    out_dir: str | Path,
+    n: int,
+    count: int,
+    chunks: Iterable[np.ndarray],
+    t_len: int | None = None,
+    alpha_level: float | None = None,
+    tickers: tuple[str, ...] | None = None,
+) -> None:
+    """:func:`save_validated` for a network whose ``count`` edges come as
+    record arrays in ascending order, written one array at a time, so that
+    they are never all held at once."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = v.n
-    count = sum(int(np.count_nonzero(v.values[i, i + 1 :])) for i in range(n - 1))
     header = {"descr": np.lib.format.dtype_to_descr(EDGE_DTYPE), "fortran_order": False, "shape": (count,)}
     with _atomic_open(out_dir / EDGE_FILE) as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for i in range(n - 1):
-            row = v.values[i, i + 1 :]
-            cols = np.flatnonzero(row)
-            edges = np.empty(cols.size, dtype=EDGE_DTYPE)
-            edges["i"], edges["j"], edges["w"] = i, cols + (i + 1), row[cols]
-            fh.write(edges)
+        written = 0
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype=EDGE_DTYPE))
+            written += len(chunk)
+        if written != count:  # the header would not describe the file
+            raise ValueError(f"{count} edges announced, {written} written")
     meta = {
         "n": n,
-        "t_len": v.t_len,
-        "alpha_level": v.alpha_level,
-        "tickers": list(v.tickers) if v.tickers is not None else None,
+        "t_len": t_len,
+        "alpha_level": alpha_level,
+        "tickers": list(tickers) if tickers is not None else None,
     }
     _atomic_write(out_dir / META_FILE, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -399,15 +485,35 @@ def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str
     return n, t_len, alpha, tickers
 
 
+def _check_data_size(fh: BinaryIO) -> None:
+    """Read the ``.npy`` header at the start of ``fh`` and refuse one whose
+    shape needs more bytes than follow it, before ``read_array`` allocates
+    them; then rewind.  Object arrays are left to ``read_array`` to refuse."""
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    else:
+        shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+    if not dtype.hasobject:
+        need = math.prod(shape) * dtype.itemsize
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ValueError(
+                f"Failed to read all data: the header's shape {shape} needs {need} bytes, and {left} follow it"
+            )
+    fh.seek(0)
+
+
 def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
-    """Read a matrix previously written by :func:`save_validated`.
+    """Read a network previously written by :func:`save_validated`.
 
     ``edges.npy`` must be one ``.npy`` array (pickled objects are refused
-    and nothing may follow it), 1-D and of exactly :data:`EDGE_DTYPE`.  Its
+    and nothing may follow it), 1-D and of exactly :data:`EDGE_DTYPE`, and
+    its header may not promise more records than the file holds.  Its
     records are then checked over whole columns: 0 <= i < j < n, |w| <= 1
-    (NaN fails), and keys i*n + j that strictly increase, so the pairs are in
-    ascending (i, j) order and none is listed twice.  A failed record check
-    names the file and the first failing record's zero-based row index.
+    (NaN fails), and pairs in strictly ascending (i, j) order, so none is
+    listed twice.  A failed record check names the file and the first
+    failing record's zero-based row index.
 
     Raises ValueError on an edge file that fails any of these checks or
     cannot be read as ``.npy``, or on a ``meta.json`` that is not an object
@@ -423,6 +529,7 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
     n, t_len, alpha_level, tickers = _read_meta(meta_path)
     with edge_path.open("rb") as fh:
         try:
+            _check_data_size(fh)
             edges = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
             raise ValueError(f"{edge_path}: {exc}") from exc
@@ -432,26 +539,24 @@ def load_validated(in_dir: str | Path) -> ValidatedCorrMatrix:
         raise ValueError(f"{edge_path}: need a 1-d {EDGE_DTYPE} array, got {edges.dtype} of shape {edges.shape}")
     i, j, w = edges["i"], edges["j"], edges["w"]
 
+    # every test below makes boolean temporaries only, one byte per record
     bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
     if bad.size:
         k = bad[0]
         raise ValueError(f"{edge_path}: row {k}: bad index pair ({i[k]}, {j[k]})")
-    bad = np.flatnonzero(~(np.abs(w) <= 1.0))  # also true for NaN
+    bad = np.flatnonzero(~((-1.0 <= w) & (w <= 1.0)))  # also true for NaN
     if bad.size:
         k = bad[0]
         raise ValueError(f"{edge_path}: row {k}: weight {float(w[k])!r} is not in [-1, 1]")
-    keys = i.astype(np.int64) * n + j  # int64: i * n overflows int32 from n of about 46k
-    bad = np.flatnonzero(np.diff(keys) <= 0)
+    after = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    bad = np.flatnonzero(~after)
     if bad.size:
         k = bad[0] + 1
         raise ValueError(f"{edge_path}: row {k}: pair ({i[k]}, {j[k]}) does not follow ({i[k - 1]}, {j[k - 1]})")
 
-    values = np.zeros((n, n))
-    values[i, j] = w
-    values[j, i] = w
-    np.fill_diagonal(values, 1.0)
     return ValidatedCorrMatrix(
-        values=values,
+        n,
+        edges,
         t_len=t_len,
         alpha_level=alpha_level,
         tickers=tuple(tickers) if tickers is not None else None,

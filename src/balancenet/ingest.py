@@ -127,48 +127,59 @@ def load_prices(path: str | Path) -> PriceTable:
     if any(b <= a for a, b in zip(parsed, parsed[1:])):
         raise ValueError(f"{path}: dates must be strictly ascending")
 
-    kept: list[str] = []
-    columns: list[list[float]] = []
-    dropped: list[tuple[str, str]] = []
-    for col, ticker in enumerate(tickers, start=1):
-        values: list[float] = []
-        reason = None
-        for row, day in zip(data, dates):
-            cell = row[col].strip()
-            if not cell:
-                reason = f"missing value on {day}"
-                break
-            try:
-                value = float(cell)
-            except ValueError:
-                reason = f"non-numeric value {cell!r} on {day}"
-                break
-            if not math.isfinite(value):
-                reason = f"non-finite value on {day}"
-                break
-            if value <= 0:
-                reason = f"non-positive price on {day}"
-                break
-            values.append(value)
-        if reason is None:
-            kept.append(ticker)
-            columns.append(values)
-        else:
-            dropped.append((ticker, reason))
+    # one float() per cell, a row at a time; a cell it rejects becomes NaN,
+    # which the column checks below treat as any other bad cell
+    cells = np.empty((len(data), len(tickers)))
+    for t, row in enumerate(data):
+        try:
+            cells[t] = np.fromiter(map(float, row[1:]), float, len(tickers))
+        except ValueError:
+            cells[t] = [_parsed(cell) for cell in row[1:]]
+    good = ((cells > 0) & (cells < math.inf)).all(axis=0)
 
+    kept = [t for t, ok in zip(tickers, good) if ok]
+    dropped = [
+        (ticker, _drop_reason([row[col] for row in data], dates))
+        for col, (ticker, ok) in enumerate(zip(tickers, good), start=1)
+        if not ok
+    ]
     if len(kept) < MIN_TICKERS:
         raise ValueError(
             f"{path}: only {len(kept)} tickers survived cleaning "
             f"(dropped: {', '.join(t for t, _ in dropped) or 'none'})"
         )
 
-    prices = np.array(columns, dtype=float)
     return PriceTable(
         tickers=tuple(kept),
         dates=tuple(dates),
-        prices=prices,
+        prices=np.ascontiguousarray(cells[:, good].T),
         drop_log=tuple(dropped),
     )
+
+
+def _parsed(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _drop_reason(cells: list[str], dates: list[str]) -> str:
+    """Why a column is dropped: its first cell, in date order, that is blank,
+    not a number, not finite or not positive."""
+    for cell, day in zip(cells, dates):
+        cell = cell.strip()
+        if not cell:
+            return f"missing value on {day}"
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"non-numeric value {cell!r} on {day}"
+        if not math.isfinite(value):
+            return f"non-finite value on {day}"
+        if value <= 0:
+            return f"non-positive price on {day}"
+    raise AssertionError("the column has no bad cell")
 
 
 def log_returns(table: PriceTable) -> ReturnMatrix:

@@ -6,14 +6,14 @@ order and safe to produce in parallel.  The mixing function is the
 SplitMix64 finalizer, applied twice to decorrelate the seed from the pair
 counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
 8-aligned blocks of rows, from the diagonal on, in buffers reused from
-block to block; both generators consume it and write each block and its
-mirror.  Both cut the raw 64-bit sign words at integer limits
-(``_word_limit``), building no float uniform to pick a sign.  ``sample_signed``
-packs each block along its rows into the graph's sign planes, and mirrors it
-by 8 x 8 bit transposes of the packed bytes.  ``plant_lscbm`` turns its weight
-words into float uniforms and adds each block and its transpose into its float
-matrix.  ``pair_uniform`` computes one pair's uniform in pure Python, the
-scalar reference both generators agree with.
+block to block; both generators consume it.  Both cut the raw 64-bit sign
+words at integer limits (``_word_limit``), building no float uniform to pick
+a sign.  ``sample_signed`` packs each block along its rows into the graph's
+sign planes, and mirrors it by 8 x 8 bit transposes of the packed bytes.
+``plant_lscbm`` turns its weight words into float uniforms, gives the core
+pairs their signs in the same block, and appends the block's nonzero entries
+to its edge list.  ``pair_uniform`` computes one pair's uniform in pure
+Python, the scalar reference both generators agree with.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from balancenet.corrnet import ValidatedCorrMatrix
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix
 from balancenet.signedgraph import SignedGraph, _mapped_zeros, _transpose_bits, _valid_sigma, _zero_planes
 
 _MASK = (1 << 64) - 1
@@ -210,23 +210,34 @@ def plant_lscbm(
     # weak weights must stay strictly inside (-sigma, sigma)
     top = np.nextafter(sigma, 0.0)
     absent, weak_pos = _word_limit(_P_ABSENT), _word_limit(_P_ABSENT + _P_WEAK_POS)
-    values = _mapped_zeros((n, n), np.float64)
+    side = np.zeros(n)
+    side[truth_a], side[truth_b] = 1.0, -1.0
+    core = np.flatnonzero(side)
+    # room for every pair in a mapping of its own, of which only the pages
+    # the edges fill become resident
+    edges = _mapped_zeros((n * (n - 1) // 2,), EDGE_DTYPE)
+    count = 0
     for r0, r1, (cat, mag) in _upper_blocks(n, seed, (_STREAM_SIGN, _STREAM_WEIGHT)):
         # grid midpoints, never 0; from 1/2 up, m + 0.5 rounds to even, so 1.0
         # can occur and the clip keeps the weight below sigma
         u_mag = ((mag >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53
         weak = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
-        weak = np.where(cat <= weak_pos, weak, -weak)
-        block = np.triu(np.where(cat <= absent, 0.0, weak), 1)
-        values[r0:r1, r0:] = block
-        values[r0:, r0:r1] += block.T
-    # scalar writes: no core x core temporary beside the last block's arrays
-    for nodes, sign in ((truth_a, 1.0), (truth_b, -1.0)):
-        values[np.ix_(nodes, truth_a)] = sign
-        values[np.ix_(nodes, truth_b)] = -sign
-    np.fill_diagonal(values, 1.0)
+        block = np.where(cat <= absent, 0.0, np.where(cat <= weak_pos, weak, -weak))
+        # a core pair is +1 inside a faction and -1 across, the product of its sides
+        rows = core[(r0 <= core) & (core < r1)]
+        if rows.size:
+            cols = core[core >= r0]
+            block[np.ix_(rows - r0, cols - r0)] = np.multiply.outer(side[rows], side[cols])
+        k, width = block.shape
+        block[:, :k] *= np.triu(np.ones((k, k)), 1)
+        cells = np.flatnonzero(block)
+        chunk = edges[count : count + cells.size]
+        chunk["i"] = np.repeat(np.arange(r0, r1), np.count_nonzero(block, axis=1))
+        chunk["j"] = cells % width + r0
+        chunk["w"] = block.ravel()[cells]
+        count += cells.size
 
-    matrix = ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
+    matrix = ValidatedCorrMatrix(n, edges[:count])
     return PlantedInstance(
         matrix=matrix,
         truth_a=tuple(int(v) for v in truth_a),

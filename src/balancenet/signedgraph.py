@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from balancenet.corrnet import ValidatedCorrMatrix, _is_int, _is_number
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, _is_int, _is_number
 
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
@@ -82,22 +82,20 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return x.view(np.uint8).swapaxes(-1, -2)
 
 
-def _packed(values: np.ndarray, cut: float) -> np.ndarray:
-    """The planes of a square matrix, +1 where an entry is >= ``cut`` and -1
-    where it is <= -``cut``, with the diagonal cleared.  Each row tile is
-    checked symmetric as it is packed: its rows up to its end must equal the
-    bit transpose of its columns over the rows packed so far, so each pair
-    meets its mirror in the tile of its larger index."""
-    n = values.shape[0]
+def _packed(signs: np.ndarray) -> np.ndarray:
+    """The planes of a square int8 {-1, 0, +1} matrix with a zero diagonal.
+
+    Each row tile is checked symmetric as it is packed: its rows up to its
+    end must equal the bit transpose of its columns over the rows packed so
+    far, so each pair meets its mirror in the tile of its larger index."""
+    n = signs.shape[0]
     planes = _zero_planes(n)
     used = (n + 7) // 8
     for r in range(0, n, ROW_TILE):
-        tile = values[r : r + ROW_TILE]
+        tile = signs[r : r + ROW_TILE]
         end = r + tile.shape[0]
-        at = np.arange(tile.shape[0])
-        for plane, bits in zip(planes, (tile >= cut, tile <= -cut)):
-            bits[at, r + at] = False
-            plane[r:end, :used] = np.packbits(bits, axis=1, bitorder="little")
+        for plane, value in zip(planes, (1, -1)):
+            plane[r:end, :used] = np.packbits(tile == value, axis=1, bitorder="little")
         mirror = _transpose_bits(planes[:, :end, r // 8 : (end + 7) // 8])
         if not np.array_equal(planes[:, r:end, : (end + 7) // 8], mirror[:, : end - r]):
             raise ValueError("signs must be symmetric")
@@ -111,8 +109,10 @@ class SignedGraph:
     The graph is stored only as two packed bit planes, the +1 rows and the
     -1 rows (see :meth:`bit_rows`): n^2 / 4 bytes, a quarter of an int8
     matrix.  ``SignedGraph(signs, sigma)`` checks and packs an n x n matrix;
-    the generators write the planes themselves.  :attr:`signs` unpacks the
-    matrix on demand.  Graphs are immutable and compare and hash by identity.
+    the generators and :func:`to_signed` write the planes themselves.
+    :attr:`signs` unpacks the matrix on demand, and :meth:`edge_tiles` lists
+    the signed pairs as edge records.  Graphs are immutable and compare and
+    hash by identity.
     """
 
     __slots__ = ("_planes", "sigma")
@@ -133,7 +133,7 @@ class SignedGraph:
             signs = cast
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        self._init(_packed(signs, 1), sigma)  # entries in {-1, 0, +1}: cut at 1 keeps them
+        self._init(_packed(signs), sigma)
 
     @classmethod
     def _from_planes(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
@@ -164,6 +164,23 @@ class SignedGraph:
             bits = np.unpackbits(self._planes[:, r : r + ROW_TILE], axis=2, count=n, bitorder="little")
             np.subtract(*bits.view(np.int8), out=out[r : r + ROW_TILE])
         return out
+
+    def edge_tiles(self) -> Iterator[np.ndarray]:
+        """The pairs with a sign as :data:`~balancenet.corrnet.EDGE_DTYPE`
+        records (i, j, w), i < j, w the sign as +1.0 or -1.0: one new array
+        per row tile, read from the upper part of the planes, in ascending
+        (i, j) order over the tiles."""
+        n = self.n
+        for r in range(0, n, ROW_TILE):
+            # tiles start on whole bytes, so byte r // 8 on holds columns r on
+            bits = np.unpackbits(self._planes[:, r : r + ROW_TILE, r // 8 :], axis=2, count=n - r, bitorder="little")
+            k = bits.shape[1]
+            bits[:, :, :k] &= np.triu(np.ones((k, k), dtype=np.uint8), 1)
+            signs = np.subtract(*bits.view(np.int8))
+            rows, cols = np.nonzero(signs)
+            edges = np.empty(rows.size, dtype=EDGE_DTYPE)
+            edges["i"], edges["j"], edges["w"] = rows + r, cols + r, signs[rows, cols]
+            yield edges
 
     def bit_rows(self) -> np.ndarray:
         """The stored +1 rows and -1 rows, planes 0 and 1, read-only.
@@ -254,15 +271,36 @@ class Module:
 
 
 def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGraph:
-    """Threshold a validated matrix into signs: sign(C_ij) where |C_ij| >= sigma.
+    """Threshold a validated network into signs: sign(C_ij) where |C_ij| >= sigma.
 
     The boundary is inclusive: an entry exactly at sigma keeps its sign.
+    The planes are set from the edges one row tile at a time: the tile's
+    edges at or past sigma are scattered into a boolean tile of its upper
+    part, which is packed into its rows and mirrored into its columns by
+    bit transposes, so no n x n array is built.
     """
+    import bisect
+
     if not _valid_sigma(sigma):
         raise ValueError("sigma must lie in (0, 1]")
-    if v.values.ndim != 2 or v.values.shape[0] != v.values.shape[1]:
-        raise ValueError("signs must be a square matrix")
-    planes = _packed(v.values, sigma)
+    n = v.n
+    i, j, w = v.edges["i"], v.edges["j"], v.edges["w"]
+    planes = _zero_planes(n)
+    # the edges are sorted by i, so each tile's are one slice; bisect reads
+    # the strided column in place, where np.searchsorted would copy it whole
+    bounds = [bisect.bisect_left(i, r) for r in range(0, n + ROW_TILE, ROW_TILE)]
+    for r, lo, hi in zip(range(0, n, ROW_TILE), bounds, bounds[1:]):
+        end = min(n, r + ROW_TILE)
+        tw = w[lo:hi]
+        strong = np.flatnonzero(np.abs(tw) >= sigma)
+        cells = (i[lo:hi][strong] - r) * (n - r) + (j[lo:hi][strong] - r)
+        positive = tw[strong] > 0
+        bits = np.zeros((2, (end - r) * (n - r)), dtype=bool)
+        bits[0, cells[positive]] = True
+        bits[1, cells[~positive]] = True
+        block = np.packbits(bits.reshape(2, end - r, n - r), axis=2, bitorder="little")
+        planes[:, r:end, r // 8 : r // 8 + block.shape[2]] = block
+        planes[:, r:, r // 8 : (end + 7) // 8] |= _transpose_bits(block)[:, : n - r]
     return SignedGraph._from_planes(planes, sigma)
 
 

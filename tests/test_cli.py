@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -55,6 +56,52 @@ def test_build_net_detect_stats_pipeline(tmp_path, capsys):
     assert set(stats) == {"xi_plus", "xi_minus", "mu_plus", "mu_minus", "lscbm_size", "varsigma"}
     assert stats["lscbm_size"] == report["size"]
     capsys.readouterr()
+
+
+def write_factor_panel(path, n_tickers=300, n_days=244, seed=11):
+    """A seeded multi-factor panel: a market factor plus one of ten sector
+    factors per ticker, with sector loadings uniform in [0.3, 2.5] and 15% of
+    them negative, so that some modules have two factions."""
+    rng = np.random.default_rng(seed)
+    t_len = n_days - 1
+    market = rng.standard_normal(t_len)
+    factors = rng.standard_normal((10, t_len))
+    sector = rng.integers(0, 10, n_tickers)
+    loading = rng.uniform(0.3, 2.5, n_tickers) * np.where(rng.random(n_tickers) < 0.15, -1.0, 1.0)
+    beta = rng.uniform(0.2, 1.0, n_tickers)
+    noise = rng.standard_normal((n_tickers, t_len))
+    returns = 0.01 * (beta[:, None] * market + loading[:, None] * factors[sector] + noise)
+    prices = 100.0 * np.exp(np.hstack([np.zeros((n_tickers, 1)), np.cumsum(returns, axis=1)]))
+    days = [(date(2015, 1, 2) + timedelta(days=d)).isoformat() for d in range(n_days)]
+    lines = [",".join(["date", *(f"S{k:03d}" for k in range(n_tickers))])]
+    lines += [",".join([day, *(f"{p:.6f}" for p in prices[:, d])]) for d, day in enumerate(days)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_chain_results_on_a_factor_panel_are_pinned(tmp_path, capsys):
+    # computed with the whole-matrix Pearson product and the dense network,
+    # before both became tiles and edges; the stats to 12 significant digits
+    csv = write_factor_panel(tmp_path / "prices.csv")
+    net, module_path, stats_path = tmp_path / "net", tmp_path / "module.json", tmp_path / "stats.json"
+    assert main(["build-net", "--in", str(csv), "--out", str(net)]) == 0
+    assert main(["detect", "--net", str(net), "--out", str(module_path)]) == 0
+    assert main(["stats", "--net", str(net), "--module", str(module_path), "--out", str(stats_path)]) == 0
+    assert "edges=18059 dropped=0" in capsys.readouterr().out
+    module = json.loads(module_path.read_text())
+    assert (module["faction_a"], module["faction_b"]) == (
+        [16, 27, 74, 77, 145, 159, 185, 188, 201, 207, 209, 220, 275, 277],
+        [227],
+    )
+    stats = json.loads(stats_path.read_text())
+    assert {k: float(f"{v:.12g}") for k, v in stats.items()} == {
+        "lscbm_size": 15,
+        "mu_minus": -0.463135650839,
+        "mu_plus": 0.268110074104,
+        "varsigma": 0.05,
+        "xi_minus": 0.0260423634337,
+        "xi_plus": 0.376610925307,
+    }
 
 
 def test_reports_carry_the_sigma_given(tmp_path, capsys):
@@ -134,10 +181,11 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 def test_gen_random_writes_the_float_matrix_bytes(tmp_path, capsys):
     args = ["gen-random", "--n", "300", "--alpha-edge", "0.5", "--beta-edge", "0.2", "--rng-seed", "7"]
     main(args + ["--out", str(tmp_path / "net")])
-    # the reference goes through a float64 copy with a unit diagonal
+    # the command reads its edges from the planes; the reference takes the
+    # upper triangle of a float64 copy of the signs with a unit diagonal
     values = sample_signed(SignedModelParams(n=300, alpha_edge=0.5, beta_edge=0.2, seed=7)).signs.astype(float)
     np.fill_diagonal(values, 1.0)
-    save_validated(ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None), tmp_path / "ref")
+    save_validated(ValidatedCorrMatrix.from_values(values), tmp_path / "ref")
     for name in ("edges.npy", "meta.json"):
         assert (tmp_path / "net" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
     capsys.readouterr()
@@ -317,6 +365,16 @@ def _npy(array):
     return buf.getvalue()
 
 
+def _huge_count_file():
+    """144 bytes: a header that promises 10**12 records, then one record."""
+    buf = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(EDGE_DTYPE), "fortran_order": False, "shape": (10**12,)}
+    np.lib.format.write_array_header_1_0(buf, header)
+    buf.write(np.array([(0, 1, 0.5)], dtype=EDGE_DTYPE).tobytes())
+    assert buf.tell() == 144
+    return buf.getvalue()
+
+
 GOOD_EDGES = _npy(np.array([(0, 1, 0.5), (1, 2, -0.5)], dtype=EDGE_DTYPE))
 MALFORMED_EDGE_FILES = {
     "wrong-dtype": _npy(np.array([(0, 1, 0.5)], dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")])),
@@ -332,6 +390,7 @@ MALFORMED_EDGE_FILES = {
     "-1.5": _npy(np.array([(0, 1, -1.5)], dtype=EDGE_DTYPE)),
     "empty-file": b"",
     "truncated": GOOD_EDGES[:-8],
+    "huge-count": _huge_count_file(),
 }
 
 
@@ -339,13 +398,15 @@ MALFORMED_EDGE_FILES = {
 @pytest.mark.parametrize("case", list(MALFORMED_EDGE_FILES))
 def test_malformed_edge_file_exit_code(tmp_path, capsys, command, case):
     net = tmp_path / "net"
-    save_validated(ValidatedCorrMatrix(values=np.eye(3), t_len=None, alpha_level=None), net)
+    save_validated(ValidatedCorrMatrix.from_values(np.eye(3)), net)
     (net / "edges.npy").write_bytes(MALFORMED_EDGE_FILES[case])
     code = main([command, "--net", str(net), "--out", str(tmp_path / "out.json")])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {net / 'edges.npy'}: ") and err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+    if case == "huge-count":  # refused before anything the size of the header's count is allocated
+        assert "Failed to read all data: the header's shape (1000000000000,) needs 16000000000000 bytes" in err
 
 
 def test_stats_module_out_of_range_exit_code(tmp_path, capsys):
@@ -388,7 +449,7 @@ def test_stats_module_must_be_balanced_at_its_sigma(tmp_path, capsys):
     # factions {0, 1} and {2} at cuts up to 0.5; no edge above it
     tri = tmp_path / "tri"
     values = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
-    save_validated(ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None), tri)
+    save_validated(ValidatedCorrMatrix.from_values(values), tri)
     assert stats(tri, [2], [0, 1], 0.5) == 0
     assert stats(tri, [0, 1], [2], None, "--sigma", "0.5") == 0
     out.unlink()

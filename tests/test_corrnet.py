@@ -23,12 +23,12 @@ from balancenet.corrnet import (
     t_statistic,
     validate,
 )
-from balancenet.signedgraph import Module
+from balancenet.signedgraph import Module, to_signed
 
 
 def corr_from(values):
     values = np.asarray(values, dtype=float)
-    return CorrMatrix(values=values, zero_variance=np.zeros(len(values), dtype=bool))
+    return CorrMatrix(zero_variance=np.zeros(len(values), dtype=bool), dense=values)
 
 
 def pair_matrix(n, i, j, value):
@@ -234,7 +234,7 @@ def test_validate_rejects_correlation_outside_unit_interval_on_both_routes(metho
 
 
 def as_validated(values):
-    return ValidatedCorrMatrix(values=np.asarray(values, float), t_len=None, alpha_level=None)
+    return ValidatedCorrMatrix.from_values(values)
 
 
 def test_network_stats_small_example():
@@ -415,7 +415,7 @@ def special_weight_matrix(n=320):
     values[:, 7] = 0.0  # node 7 has no edges
     values = values + values.T
     np.fill_diagonal(values, 1.0)
-    return ValidatedCorrMatrix(values=values, t_len=40, alpha_level=0.01, tickers=None)
+    return ValidatedCorrMatrix.from_values(values, t_len=40, alpha_level=0.01)
 
 
 def test_save_matches_reference_writer_and_round_trips_bit_exactly(tmp_path):
@@ -440,7 +440,7 @@ def test_save_validated_streams_its_edges(tmp_path):
     values = values + values.T
     np.fill_diagonal(values, 1.0)
     edges = (int(np.count_nonzero(values)) - n) // 2
-    v = ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
+    v = ValidatedCorrMatrix.from_values(values)
     tracemalloc.start()
     try:
         save_validated(v, tmp_path / "net")
@@ -497,3 +497,56 @@ def test_load_validated_rejects_a_file_that_is_not_an_edge_array(tmp_path, conte
     net = write_net(tmp_path / "net", content)
     with pytest.raises(ValueError, match=f"edges.npy: {message}"):
         load_validated(net)
+
+
+def sector_returns(n, t_len, seed):
+    """Returns of n tickers on a market factor, loadings uniform in [0.2, 1],
+    and one of 20 sector factors, loadings uniform in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((21, t_len))
+    beta = rng.uniform(0.2, 1.0, n)
+    loading = rng.uniform(0.5, 2.0, n)
+    noise = rng.standard_normal((n, t_len))
+    return beta[:, None] * factors[20] + loading[:, None] * factors[rng.integers(0, 20, n)] + noise
+
+
+def test_network_layers_make_no_n_by_n_float64(tmp_path):
+    n = 2000
+    returns = sector_returns(n, 243, seed=4)
+    net = tmp_path / "net"
+    steps = {
+        "pearson_matrix": lambda: pearson_matrix(returns),
+        "validate": lambda c: validate(c, t_len=243),
+        "save_validated": lambda v: (save_validated(v, net), v)[1],
+        "load_validated": lambda v: load_validated(net),
+        "to_signed": lambda v: (to_signed(v, 0.5), v)[1],
+        "network_stats": lambda v: network_stats(v, Module((0, 1, 2), ())),
+    }
+    peaks = {}
+    result = None
+    for name, step in steps.items():
+        tracemalloc.start()
+        try:
+            result = step() if result is None else step(result)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if name == "validate":
+            edge_bytes = result.edges.nbytes
+    # one n x n float64 is 8n^2 bytes.  The edges, 16 bytes for each of the
+    # 53% of pairs kept here, take 0.53 of that (a quarter more while
+    # validate grows them), and the row tiles a few MB.
+    assert 0.5 < edge_bytes / (8 * n * n) < 0.6
+    assert all(peak < 8 * n * n for peak in peaks.values()), peaks
+    assert peaks["validate"] < 1.25 * edge_bytes + 2**23
+
+
+def test_validated_weights_are_the_entries_of_the_tiles():
+    # several row tiles; the dense matrix is assembled from the same tiles
+    c = pearson_matrix(sector_returns(1500, 40, seed=6))
+    v = validate(c, t_len=40)
+    values = c.values
+    assert np.array_equal(values, values.T)
+    i, j, w = v.edges["i"], v.edges["j"], v.edges["w"]
+    assert w.size and np.array_equal(w, values[i, j])
+    assert np.array_equal(v.values, np.where(np.abs(values) > critical_correlation(40, 0.05), values, 0.0))

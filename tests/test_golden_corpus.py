@@ -179,7 +179,7 @@ def _boundary_matrix():
     upper = np.resize(entries, iu.size)
     values[iu, ju] = upper
     values[ju, iu] = upper
-    return ValidatedCorrMatrix(values=values, t_len=None, alpha_level=None)
+    return ValidatedCorrMatrix.from_values(values)
 
 
 def _threshold_bytes():

@@ -1,12 +1,18 @@
 """Tests for price loading, cleaning, and log returns."""
 
+import csv
 import math
-from datetime import date, timedelta
+import tempfile
+from datetime import date as _date
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from balancenet.ingest import PriceTable, load_prices, log_returns
+from balancenet.ingest import MIN_ROWS, MIN_TICKERS, PriceTable, load_prices, log_returns
 
 
 def write_csv(path, header, rows):
@@ -16,7 +22,7 @@ def write_csv(path, header, rows):
 
 
 def day_grid(count):
-    start = date(2020, 1, 1)
+    start = _date(2020, 1, 1)
     return tuple((start + timedelta(days=d)).isoformat() for d in range(count))
 
 
@@ -154,3 +160,144 @@ def test_price_table_rejects_small_shapes():
         make_table([[1.0, 2.0, 3.0, 4.0]])  # one ticker
     with pytest.raises(ValueError):
         make_table([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])  # three days
+
+
+# ---------------------------------------------------------------- row-wise parser
+
+
+def reference_load_prices(path):
+    """The per-cell loader that the row-wise parser replaced, kept as the
+    reference: every cell is stripped and checked in turn, column by column."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read price file {path}: {exc}") from exc
+
+    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValueError(f"price file {path} is empty")
+
+    header = [cell.strip() for cell in rows[0]]
+    if not header or header[0].lower() != "date":
+        raise ValueError(f"malformed header in {path}: first column must be 'date'")
+    tickers = header[1:]
+    if not tickers or any(not t for t in tickers):
+        raise ValueError(f"malformed header in {path}: empty ticker name")
+    if len(set(tickers)) != len(tickers):
+        raise ValueError(f"malformed header in {path}: duplicate ticker names")
+
+    data = rows[1:]
+    if len(data) < MIN_ROWS:
+        raise ValueError(f"{path}: need at least {MIN_ROWS} data rows, got {len(data)}")
+
+    dates = []
+    for row in data:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row with {len(row)} cells, expected {len(header)}")
+        dates.append(row[0].strip())
+    try:
+        parsed = [_date.fromisoformat(d) for d in dates]
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad date value: {exc}") from exc
+    if any(b <= a for a, b in zip(parsed, parsed[1:])):
+        raise ValueError(f"{path}: dates must be strictly ascending")
+
+    kept, columns, dropped = [], [], []
+    for col, ticker in enumerate(tickers, start=1):
+        values = []
+        reason = None
+        for row, day in zip(data, dates):
+            cell = row[col].strip()
+            if not cell:
+                reason = f"missing value on {day}"
+                break
+            try:
+                value = float(cell)
+            except ValueError:
+                reason = f"non-numeric value {cell!r} on {day}"
+                break
+            if not math.isfinite(value):
+                reason = f"non-finite value on {day}"
+                break
+            if value <= 0:
+                reason = f"non-positive price on {day}"
+                break
+            values.append(value)
+        if reason is None:
+            kept.append(ticker)
+            columns.append(values)
+        else:
+            dropped.append((ticker, reason))
+
+    if len(kept) < MIN_TICKERS:
+        raise ValueError(
+            f"{path}: only {len(kept)} tickers survived cleaning "
+            f"(dropped: {', '.join(t for t, _ in dropped) or 'none'})"
+        )
+    return PriceTable(tickers=tuple(kept), dates=tuple(dates), prices=np.array(columns, dtype=float), drop_log=tuple(dropped))
+
+
+# cells a price column can hold: bad kinds beside valid prices, some quoted
+ODD_CELLS = ("", "  ", "abc", "nan", "inf", "-inf", "0", "-1", " 2.5 ", "1_000", '"3.25"', '" 7 "', '"1,5"', '""')
+PRICE_CELLS = st.one_of(
+    st.floats(min_value=0.01, max_value=1e6).map(repr),
+    st.floats(min_value=0.01, max_value=1e6).map(lambda x: f'"{x!r}"'),
+)
+# one cell in eight odd, so that most files keep some columns and drop others
+CELLS = st.integers(0, 7).flatmap(lambda k: st.sampled_from(ODD_CELLS) if k == 0 else PRICE_CELLS)
+
+# structural faults, each applied to the (header, rows) lists of cells
+FAULTS = {
+    "short-row": lambda header, rows: rows[1].pop(),
+    "long-row": lambda header, rows: rows[2].append("1.0"),
+    "swapped-dates": lambda header, rows: rows.insert(0, rows.pop(1)),
+    "repeated-date": lambda header, rows: rows[1].__setitem__(0, rows[0][0]),
+    "bad-date": lambda header, rows: rows[3].__setitem__(0, "2020-13-01"),
+    "few-rows": lambda header, rows: rows.__delitem__(slice(MIN_ROWS - 1, None)),
+    "bad-header": lambda header, rows: header.__setitem__(0, "day"),
+    "empty-ticker": lambda header, rows: header.__setitem__(1, " "),
+    "repeated-ticker": lambda header, rows: header.__setitem__(2, header[1]),
+    "blank-line": lambda header, rows: rows.insert(2, [" "] * len(header)),
+}
+
+
+@st.composite
+def price_files(draw):
+    n_tickers = draw(st.integers(2, 8))
+    n_days = draw(st.integers(MIN_ROWS, 9))
+    header = ["date", *(f"T{k}" for k in range(n_tickers))]
+    rows = [
+        [day, *draw(st.lists(CELLS, min_size=n_tickers, max_size=n_tickers))]
+        for day in day_grid(n_days)
+    ]
+    for fault in draw(st.lists(st.sampled_from(sorted(FAULTS)), max_size=2, unique=True)):
+        FAULTS[fault](header, rows)
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+def _load(loader, path):
+    try:
+        return loader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(price_files())
+def test_row_wise_parser_matches_the_per_cell_reference(text):
+    # the reason a column is dropped is its first bad cell in date order,
+    # whatever bad kinds follow it; with several structural faults the same
+    # message wins as in the reference
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(text)
+        got, want = _load(load_prices, path), _load(reference_load_prices, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, PriceTable), got
+    assert (got.tickers, got.dates, got.drop_log) == (want.tickers, want.dates, want.drop_log)
+    assert got.prices.tobytes() == want.prices.tobytes()
+    assert got.prices.flags.c_contiguous

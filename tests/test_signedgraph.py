@@ -29,7 +29,7 @@ def complete_graph(signs_by_pair, n):
 
 
 def as_validated(values):
-    return ValidatedCorrMatrix(values=np.asarray(values, float), t_len=None, alpha_level=None)
+    return ValidatedCorrMatrix.from_values(values)
 
 
 def naive_is_scbm(g, nodes):
@@ -184,7 +184,9 @@ def test_to_signed_rejects_an_asymmetric_matrix(i, j):
     upper = np.triu(np.random.default_rng(5).uniform(-1, 1, size=(n, n)), 1)
     values = upper + upper.T + np.eye(n)
     values[i, j] = -0.9 if values[j, i] >= 0.5 else 0.9
-    with pytest.raises(ValueError, match="signs must be symmetric"):
+    # a network holds only the upper triangle, so the asymmetry is refused
+    # when the matrix becomes one, before to_signed could see it
+    with pytest.raises(ValueError, match="values must be symmetric"):
         to_signed(as_validated(values), 0.5)
 
 
