@@ -42,7 +42,7 @@ from balancenet.ingest import load_prices, log_returns
 from balancenet.maxbalancecore import DEFAULT_MAX_SEEDS, DetectConfig, detect, node_impacts
 from balancenet.oracle import EnumerationBudgetError, exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
-from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, Module, bipartition, to_signed
+from balancenet.signedgraph import DEFAULT_SIGMA, MIN_MODULE_SIZE, Module, _valid_sigma, bipartition, to_signed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -239,9 +239,11 @@ def _cmd_sim_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
-    v = load_validated(args.net)
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
+    if not (_valid_sigma(args.sigma_min) and _valid_sigma(args.sigma_max)):
+        raise ValueError("--sigma-min and --sigma-max must lie in (0, 1]")
+    v = load_validated(args.net)
     sigmas = np.linspace(args.sigma_min, args.sigma_max, args.steps)
     rows = []
     for sigma in sigmas:

@@ -129,10 +129,8 @@ class ValidatedCorrMatrix:
             raise ValueError("values must be a square matrix")
         if not np.array_equal(values, values.T, equal_nan=True):
             raise ValueError("values must be symmetric")
-        i, j = np.nonzero(np.triu(values, 1))
-        edges = np.empty(i.size, dtype=EDGE_DTYPE)
-        edges["i"], edges["j"], edges["w"] = i, j, values[i, j]
-        return cls(len(values), edges, t_len, alpha_level, tickers)
+        edges, count = _append_upper(np.empty(0, dtype=EDGE_DTYPE), 0, 0, values, values != 0)
+        return cls(len(values), edges[:count], t_len, alpha_level, tickers)
 
     @property
     def values(self) -> np.ndarray:
@@ -307,6 +305,25 @@ def critical_correlation(t_len: int, alpha_level: float) -> float:
     return t_star / math.sqrt(nu + t_star * t_star)
 
 
+def _append_upper(edges: np.ndarray, count: int, r: int, tile: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write the cells of ``tile`` (rows r.., columns r.. of a matrix) that the
+    bool ``kept`` flags strictly above the diagonal into ``edges[count:]`` as
+    records (i, j, w), in ascending order; ``kept`` is cleared on and below it.
+    ``edges`` grows by ``resize`` if it must.  Returns ``(edges, new count)``."""
+    rows, width = kept.shape
+    kept[:, :rows] &= np.triu(np.ones((rows, rows), dtype=bool), 1)
+    cells = np.flatnonzero(kept)
+    end = count + cells.size
+    if end > edges.size:
+        # realloc moves a large array's pages rather than copying them, so
+        # the edges are never held twice; a quarter more keeps resizes few
+        edges.resize(end + end // 4, refcheck=False)
+    edges["i"][count:end] = np.repeat(np.arange(r, r + rows), np.count_nonzero(kept, axis=1))
+    edges["j"][count:end] = cells % width + r
+    edges["w"][count:end] = tile.ravel()[cells]
+    return edges, end
+
+
 def validate(
     corr: CorrMatrix,
     t_len: int,
@@ -344,18 +361,7 @@ def validate(
         else:
             with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
                 kept = np.abs(tile * np.sqrt((t_len - 2) / (1.0 - tile * tile))) > t_star
-        rows, width = tile.shape
-        kept[:, :rows] &= np.triu(np.ones((rows, rows), dtype=bool), 1)
-        cells = np.flatnonzero(kept)
-        end = count + cells.size
-        if end > edges.size:
-            # realloc moves a large array's pages rather than copying them, so
-            # the edges are never held twice; a quarter more keeps resizes few
-            edges.resize(end + end // 4, refcheck=False)
-        edges["i"][count:end] = np.repeat(np.arange(r, r + rows), np.count_nonzero(kept, axis=1))
-        edges["j"][count:end] = cells % width + r
-        edges["w"][count:end] = tile.ravel()[cells]
-        count = end
+        edges, count = _append_upper(edges, count, r, tile, kept)
     edges.resize(count, refcheck=False)
     return ValidatedCorrMatrix(corr.n, edges, t_len, alpha_level, tickers)
 
@@ -463,7 +469,10 @@ def _is_number(x: object) -> bool:
 
 def _read_meta(meta_path: Path) -> tuple[int, int | None, float | None, list[str] | None]:
     """Parse and check the sidecar: ``(n, t_len, alpha_level, tickers)``."""
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValueError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object")
     n = meta.get("n")

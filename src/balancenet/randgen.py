@@ -8,12 +8,13 @@ counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
 8-aligned blocks of rows, from the diagonal on, in buffers reused from
 block to block; both generators consume it.  Both cut the raw 64-bit sign
 words at integer limits (``_word_limit``), building no float uniform to pick
-a sign.  ``sample_signed`` packs each block along its rows into the graph's
-sign planes, and mirrors it by 8 x 8 bit transposes of the packed bytes.
+a sign.  ``sample_signed`` hands each block's sign bits to
+``signedgraph._write_upper``, which packs and mirrors them into the planes.
 ``plant_lscbm`` turns its weight words into float uniforms, gives the core
-pairs their signs in the same block, and appends the block's nonzero entries
-to its edge list.  ``pair_uniform`` computes one pair's uniform in pure
-Python, the scalar reference both generators agree with.
+pairs their signs in the same block, and hands its nonzero entries to
+``corrnet._append_upper``, which appends them to the edge list.
+``pair_uniform`` computes one pair's uniform in pure Python, the scalar
+reference both generators agree with.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix
-from balancenet.signedgraph import SignedGraph, _mapped_zeros, _transpose_bits, _valid_sigma, _zero_planes
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, _append_upper
+from balancenet.signedgraph import SignedGraph, _mapped_zeros, _valid_sigma, _write_upper, _zero_planes
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -176,10 +177,7 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
         for plane, limit in zip(bits, limits):
             np.less_equal(z, limit, out=plane)
         bits[1] ^= bits[0]  # -1 where m lies in [t_alpha, t_both)
-        bits[:, :, : r1 - r0] &= np.triu(np.ones((r1 - r0,) * 2, dtype=bool), 1)
-        block = np.packbits(bits, axis=2, bitorder="little")
-        planes[:, r0:r1, r0 // 8 : r0 // 8 + block.shape[2]] = block
-        planes[:, r0:, r0 // 8 : (r1 + 7) // 8] |= _transpose_bits(block)[:, : n - r0]
+        _write_upper(planes, r0, bits)
     return SignedGraph._from_planes(planes)
 
 
@@ -228,14 +226,7 @@ def plant_lscbm(
         if rows.size:
             cols = core[core >= r0]
             block[np.ix_(rows - r0, cols - r0)] = np.multiply.outer(side[rows], side[cols])
-        k, width = block.shape
-        block[:, :k] *= np.triu(np.ones((k, k)), 1)
-        cells = np.flatnonzero(block)
-        chunk = edges[count : count + cells.size]
-        chunk["i"] = np.repeat(np.arange(r0, r1), np.count_nonzero(block, axis=1))
-        chunk["j"] = cells % width + r0
-        chunk["w"] = block.ravel()[cells]
-        count += cells.size
+        edges, count = _append_upper(edges, count, r0, block, block != 0)
 
     matrix = ValidatedCorrMatrix(n, edges[:count])
     return PlantedInstance(

@@ -6,6 +6,10 @@ subgraphs that triangle condition is equivalent to a two-faction split with
 positive edges inside factions and negative edges across (Cartwright &
 Harary's structure theorem).  Both checkers decide it by that split, in one
 helper over the node set's int8 block, tested against a triangle loop.
+
+Graphs are held as packed sign planes, and every plane bit is written by
+``_write_upper``: the constructor, :func:`to_signed` and
+``randgen.sample_signed`` hand it upper row tiles to pack and mirror.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, _is_int, _is_number
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, _append_upper, _is_int, _is_number
 
 DEFAULT_SIGMA = 0.7
 MIN_MODULE_SIZE = 3
@@ -82,24 +86,17 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return x.view(np.uint8).swapaxes(-1, -2)
 
 
-def _packed(signs: np.ndarray) -> np.ndarray:
-    """The planes of a square int8 {-1, 0, +1} matrix with a zero diagonal.
-
-    Each row tile is checked symmetric as it is packed: its rows up to its
-    end must equal the bit transpose of its columns over the rows packed so
-    far, so each pair meets its mirror in the tile of its larger index."""
-    n = signs.shape[0]
-    planes = _zero_planes(n)
-    used = (n + 7) // 8
-    for r in range(0, n, ROW_TILE):
-        tile = signs[r : r + ROW_TILE]
-        end = r + tile.shape[0]
-        for plane, value in zip(planes, (1, -1)):
-            plane[r:end, :used] = np.packbits(tile == value, axis=1, bitorder="little")
-        mirror = _transpose_bits(planes[:, :end, r // 8 : (end + 7) // 8])
-        if not np.array_equal(planes[:, r:end, : (end + 7) // 8], mirror[:, : end - r]):
-            raise ValueError("signs must be symmetric")
-    return planes
+def _write_upper(planes: np.ndarray, r: int, bits: np.ndarray) -> None:
+    """Write the +1 and -1 cells of a ``(2, k, n - r)`` bool tile of rows r..
+    and columns r.. (r a multiple of 8), strictly above its diagonal, into
+    rows r..r + k - 1 of ``planes``, still zero from column r on, and mirror
+    them into columns r..r + k - 1 by a bit transpose.  ``bits`` is cleared
+    on and below the diagonal."""
+    n, k = planes.shape[1], bits.shape[1]
+    bits[:, :, :k] &= np.triu(np.ones((k, k), dtype=bool), 1)
+    block = np.packbits(bits, axis=2, bitorder="little")
+    planes[:, r : r + k, r // 8 : r // 8 + block.shape[2]] = block
+    planes[:, r:, r // 8 : (r + k + 7) // 8] |= _transpose_bits(block)[:, : n - r]
 
 
 class SignedGraph:
@@ -108,11 +105,10 @@ class SignedGraph:
 
     The graph is stored only as two packed bit planes, the +1 rows and the
     -1 rows (see :meth:`bit_rows`): n^2 / 4 bytes, a quarter of an int8
-    matrix.  ``SignedGraph(signs, sigma)`` checks and packs an n x n matrix;
-    the generators and :func:`to_signed` write the planes themselves.
-    :attr:`signs` unpacks the matrix on demand, and :meth:`edge_tiles` lists
-    the signed pairs as edge records.  Graphs are immutable and compare and
-    hash by identity.
+    matrix.  ``SignedGraph(signs, sigma)`` checks and packs an n x n matrix.
+    :attr:`signs` unpacks it on demand, and :meth:`edge_tiles` lists the
+    signed pairs as edge records.  Graphs are immutable and compare and hash
+    by identity.
     """
 
     __slots__ = ("_planes", "sigma")
@@ -133,7 +129,13 @@ class SignedGraph:
             signs = cast
         if np.diagonal(signs).any():
             raise ValueError("diagonal must be zero")
-        self._init(_packed(signs), sigma)
+        if not np.array_equal(signs, signs.T):
+            raise ValueError("signs must be symmetric")
+        planes = _zero_planes(len(signs))
+        for r in range(0, len(signs), ROW_TILE):
+            tile = signs[r : r + ROW_TILE, r:]
+            _write_upper(planes, r, np.stack([tile == 1, tile == -1]))
+        self._init(planes, sigma)
 
     @classmethod
     def _from_planes(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
@@ -174,13 +176,9 @@ class SignedGraph:
         for r in range(0, n, ROW_TILE):
             # tiles start on whole bytes, so byte r // 8 on holds columns r on
             bits = np.unpackbits(self._planes[:, r : r + ROW_TILE, r // 8 :], axis=2, count=n - r, bitorder="little")
-            k = bits.shape[1]
-            bits[:, :, :k] &= np.triu(np.ones((k, k), dtype=np.uint8), 1)
             signs = np.subtract(*bits.view(np.int8))
-            rows, cols = np.nonzero(signs)
-            edges = np.empty(rows.size, dtype=EDGE_DTYPE)
-            edges["i"], edges["j"], edges["w"] = rows + r, cols + r, signs[rows, cols]
-            yield edges
+            edges, count = _append_upper(np.empty(0, dtype=EDGE_DTYPE), 0, r, signs, signs != 0)
+            yield edges[:count]
 
     def bit_rows(self) -> np.ndarray:
         """The stored +1 rows and -1 rows, planes 0 and 1, read-only.
@@ -274,10 +272,9 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
     """Threshold a validated network into signs: sign(C_ij) where |C_ij| >= sigma.
 
     The boundary is inclusive: an entry exactly at sigma keeps its sign.
-    The planes are set from the edges one row tile at a time: the tile's
-    edges at or past sigma are scattered into a boolean tile of its upper
-    part, which is packed into its rows and mirrored into its columns by
-    bit transposes, so no n x n array is built.
+    Each row tile's edges at or past sigma are scattered into a boolean tile
+    of its upper part, which ``_write_upper`` packs and mirrors, so no n x n
+    array is built.
     """
     import bisect
 
@@ -298,9 +295,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
         bits = np.zeros((2, (end - r) * (n - r)), dtype=bool)
         bits[0, cells[positive]] = True
         bits[1, cells[~positive]] = True
-        block = np.packbits(bits.reshape(2, end - r, n - r), axis=2, bitorder="little")
-        planes[:, r:end, r // 8 : r // 8 + block.shape[2]] = block
-        planes[:, r:, r // 8 : (end + 7) // 8] |= _transpose_bits(block)[:, : n - r]
+        _write_upper(planes, r, bits.reshape(2, end - r, n - r))
     return SignedGraph._from_planes(planes, sigma)
 
 

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balancenet
 from balancenet.cli import EXIT_BUDGET, EXIT_INPUT, main
 from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix, load_validated, save_validated
 from balancenet.randgen import SignedModelParams, sample_signed
@@ -102,6 +107,28 @@ def test_chain_results_on_a_factor_panel_are_pinned(tmp_path, capsys):
         "xi_minus": 0.0260423634337,
         "xi_plus": 0.376610925307,
     }
+
+
+def test_chain_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the Pearson tiles are BLAS products, whose last bits may move with the
+    # thread count; the edges kept and the reports must not
+    csv = write_factor_panel(tmp_path / "prices.csv")
+    src = str(Path(balancenet.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / threads
+        net, module_path, stats_path = out / "net", out / "module.json", out / "stats.json"
+        for argv in (
+            ["build-net", "--in", str(csv), "--out", str(net)],
+            ["detect", "--net", str(net), "--out", str(module_path)],
+            ["stats", "--net", str(net), "--module", str(module_path), "--out", str(stats_path)],
+        ):
+            subprocess.run([sys.executable, "-m", "balancenet.cli", *argv], env=env, check=True, capture_output=True)
+        outputs.append((load_validated(net).edges.size, module_path.read_bytes(), stats_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 18059
 
 
 def test_reports_carry_the_sigma_given(tmp_path, capsys):
@@ -288,6 +315,24 @@ def test_sigma_sweep(tmp_path, capsys):
         assert row["varsigma"] == row["size"] / 20
     # from 0.7 up only the planted core edges survive thresholding
     assert [row["size"] for row in rows if row["sigma"] >= 0.7] == [6, 6, 6]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--steps", "1"], "--steps must be >= 2"),
+        (["--sigma-max", "1.5"], "--sigma-min and --sigma-max must lie in (0, 1]"),
+        (["--sigma-min", "0"], "--sigma-min and --sigma-max must lie in (0, 1]"),
+        (["--sigma-min", "nan"], "--sigma-min and --sigma-max must lie in (0, 1]"),
+    ],
+)
+def test_sigma_sweep_checks_its_arguments_before_loading(tmp_path, capsys, flags, message):
+    # the network does not exist, so only a check made before loading it can name the flag
+    out = tmp_path / "sweep.json"
+    code = main(["sigma-sweep", "--net", str(tmp_path / "missing"), *flags, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -472,6 +517,20 @@ def test_bad_meta_exit_code(tmp_path, capsys):
     code = main(["detect", "--net", str(net), "--out", str(tmp_path / "m.json")])
     assert code == EXIT_INPUT
     assert "n must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "stats", "oracle"])
+@pytest.mark.parametrize("case", ["truncated", "not-utf-8"])
+def test_unreadable_meta_file_exit_code(tmp_path, capsys, command, case):
+    net = tmp_path / "net"
+    save_validated(ValidatedCorrMatrix.from_values(np.eye(3)), net)
+    meta = (net / "meta.json").read_bytes()
+    (net / "meta.json").write_bytes(meta[: len(meta) // 2] if case == "truncated" else b"\xff" + meta)
+    code = main([command, "--net", str(net), "--out", str(tmp_path / "out.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {net / 'meta.json'}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_stats_module_bad_entries_exit_code(tmp_path, capsys):

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from balancenet.corrnet import ValidatedCorrMatrix
+from balancenet.corrnet import EDGE_DTYPE, ValidatedCorrMatrix
+from balancenet.maxbalancecore import node_impacts
+from balancenet.randgen import SignedModelParams, sample_signed
 from balancenet.signedgraph import (
     Module,
     SignedGraph,
@@ -128,6 +130,38 @@ def test_signed_graph_round_trips_its_signs(n):
     out = SignedGraph(signs).signs
     assert out.dtype == np.int8
     assert np.array_equal(out, signs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 255, 256, 257, 520])
+def test_edge_records_and_planes_agree_at_ragged_sizes(n):
+    if n:
+        g = sample_signed(SignedModelParams(n=n, alpha_edge=0.4, beta_edge=0.3, seed=n))
+    else:
+        g = SignedGraph(np.zeros((0, 0), dtype=np.int8))
+    edges = np.concatenate([np.empty(0, dtype=EDGE_DTYPE), *g.edge_tiles()])
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    assert edges.size == node_impacts(g).sum() // 2
+    assert (i < j).all() and np.isin(w, (-1.0, 1.0)).all()
+    assert ((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all()
+
+    planes = g.bit_rows()
+    assert np.array_equal(to_signed(ValidatedCorrMatrix(n, edges), 1.0).bit_rows(), planes)
+    assert np.array_equal(SignedGraph(g.signs).bit_rows(), planes)
+    assert not np.unpackbits(planes, axis=2, bitorder="little")[:, :, n:].any()
+
+    signs = g.signs
+    pairs = []
+    if n >= 7:  # inside one tile
+        pairs += [(1, 5), (5, 1)]
+    if n > 256:  # across adjacent tiles
+        pairs += [(255, 256), (256, 255)]
+    if n >= 2:  # in the last, partial tile
+        pairs += [(n - 2, n - 1), (n - 1, n - 2)]
+    for a, b in pairs:
+        broken = signs.copy()
+        broken[a, b] = 0 if broken[a, b] else 1
+        with pytest.raises(ValueError, match="signs must be symmetric"):
+            SignedGraph(broken)
 
 
 @pytest.mark.parametrize(
