@@ -318,8 +318,9 @@ def _append_upper(edges: np.ndarray, count: int, r: int, tile: np.ndarray, kept:
         # realloc moves a large array's pages rather than copying them, so
         # the edges are never held twice; a quarter more keeps resizes few
         edges.resize(end + end // 4, refcheck=False)
-    edges["i"][count:end] = np.repeat(np.arange(r, r + rows), np.count_nonzero(kept, axis=1))
-    edges["j"][count:end] = cells % width + r
+    row = np.repeat(np.arange(rows), np.count_nonzero(kept, axis=1))
+    edges["i"][count:end] = row + r
+    edges["j"][count:end] = cells - row * width + r
     edges["w"][count:end] = tile.ravel()[cells]
     return edges, end
 

@@ -23,11 +23,13 @@ the +1 rows and the -1 rows.  They are the graph's one stored form, so no
 call builds them, and node impacts are popcounts of their rows.  Signs are
 symmetric, so "u is -1 to all of a set" is u's bit in the AND of the set's
 -1 rows: cross-pruning and the admission flags are AND-reduces over packed
-rows.  Seeds go in chunks that
-fit ``_CHUNK_BYTES`` of gathered rows; one pass of each kernel prunes and
-flags all factions of a chunk, carried as one list of (faction, node) pairs,
-so small graphs pay numpy's per-call cost per chunk, not per seed.  Only the
-admission sweep runs seed by seed.  From a few hundred nodes up a chunk is one seed.
+rows.  Each node's last conflict, the highest node without a +1 tie to
+it, is found once per call, and settles most intra-prune candidates without
+gathering their rows.  Seeds go in chunks that fit ``_CHUNK_BYTES`` of
+gathered rows; one pass of each kernel prunes and flags all factions of a
+chunk, carried as one list of (faction, node) pairs, so the per-call cost is
+paid per chunk, not per seed.  Only the admission sweep runs seed by seed.
+From about 4,100 nodes up a chunk is one seed.
 """
 
 from __future__ import annotations
@@ -40,9 +42,13 @@ import numpy as np
 from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
 
 DEFAULT_MAX_SEEDS = 100
-# packed-row bytes one chunk of seeds may gather, up to n rows per seed; the
-# 8-byte index arrays kept per (faction, node) pair are not counted
-_CHUNK_BYTES = 32 * 1024
+# packed-row bytes one chunk of seeds may gather, counted as n rows per seed,
+# so a chunk is this // plane bytes seeds.  It does not bound what a chunk
+# holds per (faction, node) pair, up to n pairs per seed: several 8-byte
+# index arrays, and a byte per node and faction while the masks are
+# unpacked.  The last-conflict index leaves few rows to gather, so the
+# budget can be large enough to share numpy's per-call cost among seeds.
+_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,31 @@ def _and_rows(planes: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarr
     return out
 
 
-def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarray) -> tuple:
+def _last_conflicts(pos: np.ndarray) -> np.ndarray:
+    """Per node u, the highest node v < n with no +1 tie to u: u itself when u
+    is +1 to every later node, since the diagonal is 0.  One pass over the +1
+    rows ``pos``, a row tile at a time; the padding bits past n never count."""
+    n, width = pos.shape
+    real = np.packbits(np.arange(8 * width) < n, bitorder="little")
+    last = np.empty(n, dtype=np.intp)
+    for r in range(0, n, ROW_TILE):
+        bad = ~pos[r : r + ROW_TILE] & real
+        top = width - 1 - (bad[:, ::-1] != 0).argmax(axis=1)
+        top_byte = bad[np.arange(bad.shape[0]), top]
+        last[r : r + ROW_TILE] = 8 * top + np.frexp(top_byte)[1] - 1
+    return last
+
+
+def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarray, last: np.ndarray) -> tuple:
     """Keep the members whose ties to every later member of their row are +1.
 
-    ``masks`` are the rows' packed factions.  A row's last member always
-    survives, and any other survivor must be +1 to its successor, so only
-    those members are tested.  For a candidate u the faction bits outside
-    u's +1 row include u itself (the diagonal is 0), and u survives iff it is
-    the highest of them.
+    ``masks`` are the rows' packed factions and ``last`` is
+    :func:`_last_conflicts` of the +1 rows ``pos``.  A row's last member
+    always survives, and any other survivor must be +1 to its successor, so
+    only those members are candidates.  A candidate u whose last conflict is
+    u itself survives, and one whose last conflict is in its faction does
+    not.  For the rest the faction bits outside u's +1 row include u itself
+    (the diagonal is 0), and u survives iff it is the highest of them.
     """
     rows, nodes, at = pairs
     keep = np.ones(nodes.size, dtype=bool)
@@ -112,11 +135,16 @@ def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarr
     succ = nodes[1:]
     cand = (~keep[:-1] & ((pos[nodes[:-1], succ >> 3] >> (succ & 7)) & 1 == 1)).nonzero()[0]
     u = nodes[cand]
+    v = last[u]
+    keep[cand] = v == u
+    cand = cand[(v != u) & ((masks[rows[cand], v >> 3] >> (v & 7)) & 1 == 0)]
+    u = nodes[cand]
     bad = pos[u]
     np.invert(bad, out=bad)
     cut = cand.searchsorted(at).tolist()
     for mask, lo, hi in zip(masks, cut, cut[1:]):
-        bad[lo:hi] &= mask  # one broadcast per faction, not one gather per member
+        if lo < hi:
+            bad[lo:hi] &= mask  # one broadcast per faction, not one gather per member
     words = bad.view("<u8")  # node v is bit v % 64 of word v // 64
     top = words.shape[1] - 1 - (words[:, ::-1] != 0).argmax(axis=1)
     top_word = words[np.arange(cand.size), top]
@@ -124,14 +152,15 @@ def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarr
     return _kept(pairs, keep)
 
 
-def _prune(masks: np.ndarray, planes: np.ndarray) -> tuple:
+def _prune(masks: np.ndarray, planes: np.ndarray, last: np.ndarray) -> tuple:
     """Prune c seeds' factions, packed as each seed's A and then each B, to the
     fixed point: the surviving A and B as :func:`_members` pairs, and per seed
-    the AND of B's rows in each plane.  An A member stays iff it is -1 to all
-    of its B.  The B members -1 to all of the surviving A stay next, and by
-    symmetry that is all of B."""
+    the AND of B's rows in each plane.  ``last`` is :func:`_last_conflicts`
+    of the +1 plane.  An A member stays iff it is -1 to all of its B.  The B
+    members -1 to all of the surviving A stay next, and by symmetry that is
+    all of B."""
     c = masks.shape[0] // 2
-    rows, nodes, at = _intra_prune(_members(masks), masks, planes[0])
+    rows, nodes, at = _intra_prune(_members(masks), masks, planes[0], last)
     a = rows[: at[c]], nodes[: at[c]], at[: c + 1]
     b = rows[at[c] :] - c, nodes[at[c] :], at[c:] - at[c]
     b_and = _and_rows(planes, *b[1:])
@@ -210,6 +239,7 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     seeds = np.argsort(-impacts, kind="stable")[: min((cfg or DetectConfig()).max_seeds, g.n)]
     seeds = seeds[impacts[seeds] > 0]
     planes = g.bit_rows()
+    last = _last_conflicts(planes[0])
     chunk = max(1, _CHUNK_BYTES // max(planes[0].nbytes, 1))
 
     best_size, best_a, best_b = 0, [], []
@@ -220,7 +250,7 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         # A starts as each seed's +1 row and the seed, B as its -1 row
         masks = planes[:, part].reshape(2 * part.size, -1)
         masks[np.arange(part.size), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
-        a, b, b_and = _prune(masks, planes)
+        a, b, b_and = _prune(masks, planes, last)
         ok = _and_rows(planes, *a[1:]) & b_and[::-1]
         live = _members(ok[0] | ok[1])
         # each seed's A, B and live nodes as lists, for the sweep

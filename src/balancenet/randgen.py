@@ -9,7 +9,8 @@ counter.  One loop, ``_upper_blocks``, hashes the upper triangle in
 block to block; both generators consume it.  Both cut the raw 64-bit sign
 words at integer limits (``_word_limit``), building no float uniform to pick
 a sign.  ``sample_signed`` hands each block's sign bits to
-``signedgraph._write_upper``, which packs and mirrors them into the planes.
+``signedgraph._write_upper``, which packs them into the upper part of the
+planes; the graph mirrors them once, when it is built.
 ``plant_lscbm`` turns its weight words into float uniforms, gives the core
 pairs their signs in the same block, and hands its nonzero entries to
 ``corrnet._append_upper``, which appends them to the edge list.
@@ -178,7 +179,7 @@ def sample_signed(params: SignedModelParams) -> SignedGraph:
             np.less_equal(z, limit, out=plane)
         bits[1] ^= bits[0]  # -1 where m lies in [t_alpha, t_both)
         _write_upper(planes, r0, bits)
-    return SignedGraph._from_planes(planes)
+    return SignedGraph._from_upper(planes)
 
 
 def plant_lscbm(
@@ -220,13 +221,16 @@ def plant_lscbm(
         # can occur and the clip keeps the weight below sigma
         u_mag = ((mag >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53
         weak = np.clip(u_mag * sigma, np.nextafter(0.0, 1.0), top)
-        block = np.where(cat <= absent, 0.0, np.where(cat <= weak_pos, weak, -weak))
+        block = np.where(cat <= weak_pos, weak, -weak)
+        kept = cat > absent  # a weak weight is never 0, so these are the nonzero cells
         # a core pair is +1 inside a faction and -1 across, the product of its sides
         rows = core[(r0 <= core) & (core < r1)]
         if rows.size:
             cols = core[core >= r0]
-            block[np.ix_(rows - r0, cols - r0)] = np.multiply.outer(side[rows], side[cols])
-        edges, count = _append_upper(edges, count, r0, block, block != 0)
+            pairs = np.ix_(rows - r0, cols - r0)
+            block[pairs] = np.multiply.outer(side[rows], side[cols])
+            kept[pairs] = True
+        edges, count = _append_upper(edges, count, r0, block, kept)
 
     matrix = ValidatedCorrMatrix(n, edges[:count])
     return PlantedInstance(

@@ -7,9 +7,10 @@ positive edges inside factions and negative edges across (Cartwright &
 Harary's structure theorem).  Both checkers decide it by that split, in one
 helper over the node set's int8 block, tested against a triangle loop.
 
-Graphs are held as packed sign planes, and every plane bit is written by
-``_write_upper``: the constructor, :func:`to_signed` and
-``randgen.sample_signed`` hand it upper row tiles to pack and mirror.
+Graphs are held as packed sign planes.  Every bit above the diagonal is
+written by ``_write_upper``: the constructor, :func:`to_signed` and
+``randgen.sample_signed`` hand it upper row tiles to pack.  One pass,
+``_mirror``, then copies the upper part into the lower, once per graph.
 """
 
 from __future__ import annotations
@@ -89,14 +90,23 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
 def _write_upper(planes: np.ndarray, r: int, bits: np.ndarray) -> None:
     """Write the +1 and -1 cells of a ``(2, k, n - r)`` bool tile of rows r..
     and columns r.. (r a multiple of 8), strictly above its diagonal, into
-    rows r..r + k - 1 of ``planes``, still zero from column r on, and mirror
-    them into columns r..r + k - 1 by a bit transpose.  ``bits`` is cleared
-    on and below the diagonal."""
-    n, k = planes.shape[1], bits.shape[1]
+    rows r..r + k - 1 of ``planes``, still zero from column r on.  ``bits``
+    is cleared on and below the diagonal."""
+    k = bits.shape[1]
     bits[:, :, :k] &= np.triu(np.ones((k, k), dtype=bool), 1)
     block = np.packbits(bits, axis=2, bitorder="little")
     planes[:, r : r + k, r // 8 : r // 8 + block.shape[2]] = block
-    planes[:, r:, r // 8 : (r + k + 7) // 8] |= _transpose_bits(block)[:, : n - r]
+
+
+def _mirror(planes: np.ndarray) -> None:
+    """Copy the strict upper part of ``planes`` into its lower part, which is
+    still zero: the bit transpose of each ``ROW_TILE``-row strip, from its
+    diagonal on, is ORed into the column strip of the same nodes, 32 bytes
+    wide, so each write covers whole cache lines of the rows below."""
+    n = planes.shape[1]
+    for r in range(0, n, ROW_TILE):
+        strip = _transpose_bits(planes[:, r : r + ROW_TILE, r // 8 :])
+        planes[:, r:, r // 8 : r // 8 + strip.shape[2]] |= strip[:, : n - r]
 
 
 class SignedGraph:
@@ -138,14 +148,15 @@ class SignedGraph:
         self._init(planes, sigma)
 
     @classmethod
-    def _from_planes(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
-        """A graph over planes that are symmetric with a zero diagonal by
-        construction; nothing is checked."""
+    def _from_upper(cls, planes: np.ndarray, sigma: float | None = None) -> "SignedGraph":
+        """A graph over planes whose strict upper part ``_write_upper`` wrote
+        and whose lower part is still zero; nothing is checked."""
         g = object.__new__(cls)
         g._init(planes, sigma)
         return g
 
     def _init(self, planes: np.ndarray, sigma: float | None) -> None:
+        _mirror(planes)
         planes.flags.writeable = False
         object.__setattr__(self, "_planes", planes)
         object.__setattr__(self, "sigma", sigma)
@@ -273,8 +284,8 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
 
     The boundary is inclusive: an entry exactly at sigma keeps its sign.
     Each row tile's edges at or past sigma are scattered into a boolean tile
-    of its upper part, which ``_write_upper`` packs and mirrors, so no n x n
-    array is built.
+    of its upper part, which ``_write_upper`` packs, so no n x n array is
+    built.
     """
     import bisect
 
@@ -296,7 +307,7 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
         bits[0, cells[positive]] = True
         bits[1, cells[~positive]] = True
         _write_upper(planes, r, bits.reshape(2, end - r, n - r))
-    return SignedGraph._from_planes(planes, sigma)
+    return SignedGraph._from_upper(planes, sigma)
 
 
 def is_balanced_triangle(s1: int, s2: int, s3: int) -> bool:

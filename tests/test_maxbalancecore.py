@@ -4,10 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balancenet import maxbalancecore
 from balancenet.maxbalancecore import (
     _CHUNK_BYTES,
     DetectConfig,
+    _last_conflicts,
     _prune,
     detect,
     expand,
@@ -83,9 +87,9 @@ def test_detect_makes_no_full_size_temporaries():
 
 
 def test_detect_chunks_stay_within_the_budget():
-    # at n = 200 a chunk holds 5 seeds, so the 100 seeds take 20 chunks;
-    # pruning them all at once would hold 20 times the budget
-    n = 200
+    # at n = 1000 a chunk holds 32 seeds, so the 100 seeds take 4 chunks;
+    # pruning them all at once would hold about 3 times the budget
+    n = 1000
     g = sample_signed(SignedModelParams(n=n, alpha_edge=0.95, beta_edge=0.03, seed=3))
     planes_bytes = g.bit_rows().nbytes
     assert 1 < _CHUNK_BYTES // (planes_bytes // 2) < 100
@@ -96,20 +100,56 @@ def test_detect_chunks_stay_within_the_budget():
     finally:
         tracemalloc.stop()
     # the planes, one row tile of booleans while they are built, and each
-    # chunk's gathered rows and the index arrays beside them
+    # chunk's gathered rows and the index arrays beside them (the peak read
+    # 1.96 MB against a bound of 18.0 MB)
     assert peak <= planes_bytes + n * n + 4 * _CHUNK_BYTES
+
+
+@pytest.mark.parametrize("budget", [1, 1024, 16 * 1024])
+def test_detect_does_not_depend_on_the_chunk_budget(budget, monkeypatch):
+    # a 1-byte budget makes each seed a chunk of its own; 1 KiB puts 3 seeds
+    # in a chunk at n = 40, and 16 KiB 5 at n = 130.  The default budget puts
+    # all the seeds of these graphs in one chunk.
+    graphs = [
+        sample_signed(SignedModelParams(n, alpha, beta, seed=n))
+        for n, (alpha, beta) in zip((9, 40, 130, 300), [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (0.6, 0.3)])
+    ]
+    clique = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
+    graphs.append(graph_from_edges(600, clique + [(4, 5, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1), (7, 8, 1)]))
+    want = [detect(g) for g in graphs]
+    monkeypatch.setattr(maxbalancecore, "_CHUNK_BYTES", budget)
+    assert [detect(g) for g in graphs] == want
+
+
+# ---------------------------------------------------------------- last conflicts
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 520])
+def test_last_conflicts_match_their_definition(n):
+    # the highest v < n with signs[u, v] != 1; sizes around whole bytes, 64-bit
+    # words and row tiles check that no padding bit past n is ever reported
+    graphs = [SignedGraph(signs=np.zeros((n, n), dtype=np.int8))]
+    for k, (alpha, beta) in enumerate([(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (1.0, 0.0)]):
+        graphs.append(sample_signed(SignedModelParams(max(n, 1), alpha, beta, seed=10 * n + k)))
+    for g in graphs:
+        signs = g.signs
+        want = [max(v for v in range(g.n) if signs[u, v] != 1) for u in range(g.n)]
+        assert _last_conflicts(g.bit_rows()[0]).tolist() == want
 
 
 # ---------------------------------------------------------------- pruning
 
 
-def prune(a, b, g):
+def prune(a, b, g, last=None):
     """``_prune`` on one pair of disjoint factions, packed into its (2, W) masks
-    as :func:`detect` packs a seed's A and B; the survivors as sorted tuples."""
+    as :func:`detect` packs a seed's A and B, with the graph's last-conflict
+    index unless ``last`` is given; the survivors as sorted tuples."""
     planes = g.bit_rows()
     member = np.zeros((2, 8 * planes.shape[2]), dtype=bool)
     member[0, np.asarray(a, dtype=np.intp)] = member[1, np.asarray(b, dtype=np.intp)] = True
-    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes)
+    if last is None:
+        last = _last_conflicts(planes[0])
+    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes, last)
     return tuple(a_out[1].tolist()), tuple(b_out[1].tolist())
 
 
@@ -183,6 +223,27 @@ def test_prune_matches_literal_definition(alpha, beta):
         assert prune(a, b, g) == reference_prune(a, b, g.signs)
 
 
+@st.composite
+def graphs_with_factions(draw):
+    """A sampled graph of n nodes, n not a multiple of 64, and two disjoint
+    factions drawn over its nodes."""
+    n = draw(st.integers(2, 130).filter(lambda n: n % 64))
+    alpha, beta = draw(st.sampled_from([(0.6, 0.3), (0.95, 0.03), (0.8, 0.0), (1.0, 0.0), (0.05, 0.9)]))
+    g = sample_signed(SignedModelParams(n, alpha, beta, seed=draw(st.integers(0, 2**32))))
+    side = np.array(draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n)))
+    return g, np.flatnonzero(side == 1).tolist(), np.flatnonzero(side == 2).tolist()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(graphs_with_factions())
+def test_prune_survivors_do_not_depend_on_the_last_conflict_index(case):
+    # every index entry at the padding bit 8W - 1, past n and so in no faction,
+    # sends every candidate through the full-row test
+    g, a, b = case
+    no_index = np.full(g.n, 8 * g.bit_rows().shape[2] - 1)
+    assert prune(a, b, g) == prune(a, b, g, no_index) == reference_prune(a, b, g.signs)
+
+
 def reference_expand(a, b, signs, candidates):
     """The literal admission rule over int8 signs, one distinct candidate at a time."""
     a, b = sorted(a), sorted(b)
@@ -248,8 +309,9 @@ def reference_detect(modules):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 22, 63, 64, 65, 129, 300])
 def test_detect_matches_the_literal_seed_loop(n):
-    # sizes around whole bytes and 64-bit words, and large enough that the
-    # seeds span several chunks, with equal-size modules from different seeds
+    # sizes around whole bytes and 64-bit words, with equal-size modules from
+    # different seeds; each graph's seeds fit one chunk, and
+    # test_detect_does_not_depend_on_the_chunk_budget splits them into several
     laws = [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (1.0, 0.0)]
     trials = 3 if n < 100 else 1
     for t in range(trials):
@@ -338,8 +400,9 @@ def test_detect_skips_zero_impact_seeds():
 @pytest.mark.parametrize("n", [9, 600])
 def test_detect_keeps_seeds_whose_neighbourhood_can_still_win(n):
     # seed 4 (impact 4) finds the triangle {4, 7, 8}; seed 0 (impact 3)
-    # then finds the 4-clique, exactly its closed neighbourhood.  At n = 9
-    # both seeds share a chunk, at n = 600 each seed is a chunk of its own.
+    # then finds the 4-clique, exactly its closed neighbourhood.  Both seeds
+    # share a chunk at either size; test_detect_does_not_depend_on_the_chunk_budget
+    # runs the n = 600 graph with each seed a chunk of its own.
     clique = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
     g = graph_from_edges(n, clique + [(4, 5, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1), (7, 8, 1)])
     assert node_impacts(g)[[4, 0]].tolist() == [4, 3]
