@@ -2,9 +2,9 @@
 
 A correlation entry survives filtering when the two-sided t-test rejects the
 zero-correlation null at the configured level.  Because the test statistic is
-monotone in |c| for fixed sample length, the filter is applied through a
-precomputed critical correlation r* rather than per-pair t values; the
-per-pair route is kept available for cross-checking.
+monotone in |c| for fixed sample length, the filter is applied as one rule,
+|c| > r*, through a precomputed critical correlation r* rather than per-pair
+t values.  The two agree up to rounding within an ulp of r*.
 
 The Student-t machinery (CDF via the regularized incomplete beta function,
 critical values via bracketed bisection) is self-contained so that results
@@ -46,36 +46,34 @@ class CorrMatrix:
 
     :func:`pearson_matrix` keeps only the rows' z-scores ``z`` (unit length,
     all zero for a row without variance) and computes each tile from them
-    when it is read (see :meth:`upper_tiles`).  A matrix given whole as
-    ``dense`` (hand-built inputs) is read from its own rows.  :attr:`values`
-    assembles the n x n matrix from the same tiles on demand.
-
-    ``zero_variance`` flags rows whose return series had no variance; every
-    off-diagonal entry touching such a row is 0 by convention.
+    when it is read (see :meth:`upper_tiles`).  :attr:`values` assembles the
+    n x n matrix from the same tiles on demand.
     """
 
-    zero_variance: np.ndarray
-    z: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    z: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.zero_variance)
+        return len(self.z)
+
+    @property
+    def zero_variance(self) -> np.ndarray:
+        """Flags the rows whose return series had no variance, the all-zero
+        rows of ``z``; every off-diagonal entry touching such a row is 0 by
+        convention."""
+        return ~self.z.any(axis=1)
 
     def upper_tiles(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(r, tile)`` for r = 0, k, 2k, ...: rows r..r + k - 1 by
         columns r..n - 1 of the matrix, k fixed by a cell budget.
 
-        From ``z``, a tile is ``z[r:r+k] @ z[r:].T`` clipped to [-1, 1], with
-        its diagonal set to 1; the zero rows of ``z`` make every entry of a
-        zero-variance row 0.  From ``dense``, it is a view, not to be written.
+        A tile is ``z[r:r+k] @ z[r:].T`` clipped to [-1, 1], with its
+        diagonal set to 1; the zero rows of ``z`` make every entry of a
+        zero-variance row 0.
         """
         n = self.n
         k = max(1, _TILE_CELLS // max(n, 1))
         for r in range(0, n, k):
-            if self.dense is not None:
-                yield r, self.dense[r : r + k, r:]
-                continue
             tile = self.z[r : r + k] @ self.z[r:].T
             np.clip(tile, -1.0, 1.0, out=tile)
             np.fill_diagonal(tile, 1.0)
@@ -83,9 +81,7 @@ class CorrMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n matrix: its upper tiles mirrored, a new array unless given ``dense``."""
-        if self.dense is not None:
-            return self.dense
+        """The n x n matrix: its upper tiles mirrored, a new array."""
         values = np.zeros((self.n, self.n))
         for r, tile in self.upper_tiles():
             upper = np.triu(tile, 1)
@@ -179,7 +175,7 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     degenerate = norms == 0.0
     z = dev / np.where(degenerate, 1.0, norms)[:, None]
     z[degenerate] = 0.0  # all 0 already, unless every deviation's square underflowed
-    return CorrMatrix(zero_variance=degenerate, z=z)
+    return CorrMatrix(z)
 
 
 def t_statistic(c: float, t_len: int) -> float:
@@ -190,7 +186,7 @@ def t_statistic(c: float, t_len: int) -> float:
     """
     if t_len < 3:
         raise ValueError("t_statistic requires T >= 3")
-    if abs(c) > 1:
+    if not abs(c) <= 1:  # also true for NaN
         raise ValueError("correlation must lie in [-1, 1]")
     if abs(c) == 1.0:
         return math.inf if c > 0 else -math.inf
@@ -330,38 +326,25 @@ def validate(
     t_len: int,
     alpha_level: float = DEFAULT_ALPHA_LEVEL,
     tickers: tuple[str, ...] | None = None,
-    method: str = "threshold",
 ) -> ValidatedCorrMatrix:
     """Keep the entries whose two-sided t-test rejects at ``alpha_level``.
 
-    ``method="threshold"`` keeps entry (i, j) iff |C_ij| > r*, with r*
-    precomputed once.  ``method="tstat"`` compares ``t_statistic``'s formula,
-    evaluated over the same tiles, with the critical value directly; both
-    routes must agree exactly and the second exists for that cross-check.
-    The kept entries of each upper tile of ``corr`` become its edges, so no
-    n x n array is built.  ``tickers``, when given, names each of the n rows.
+    Entry (i, j) is kept iff |C_ij| > r*, with r* = :func:`critical_correlation`
+    computed once: the t-test of :func:`t_statistic` against
+    :func:`t_critical`, up to rounding within an ulp of r*.  The kept entries
+    of each upper tile of ``corr`` become its edges, so no n x n array is
+    built.  ``tickers``, when given, names each of the n rows.
     """
-    if t_len < 4:
-        raise ValueError("need T >= 4 so that nu = T - 2 >= 2")
+    r_star = critical_correlation(t_len, alpha_level)
     if tickers is not None and len(tickers) != corr.n:
         raise ValueError(f"{len(tickers)} tickers for n={corr.n}")
-    if method == "threshold":
-        r_star = critical_correlation(t_len, alpha_level)
-    elif method == "tstat":
-        t_star = t_critical(t_len - 2, alpha_level)
-    else:
-        raise ValueError(f"unknown validation method {method!r}")
 
     edges = np.empty(0, dtype=EDGE_DTYPE)
     count = 0
     for r, tile in corr.upper_tiles():
         if not (-1.0 <= tile.min() and tile.max() <= 1.0):  # also true for NaN
             raise ValueError("correlation must lie in [-1, 1]")
-        if method == "threshold":
-            kept = (tile > r_star) | (tile < -r_star)
-        else:
-            with np.errstate(divide="ignore"):  # |c| = 1 gives the limit +-inf
-                kept = np.abs(tile * np.sqrt((t_len - 2) / (1.0 - tile * tile))) > t_star
+        kept = (tile > r_star) | (tile < -r_star)
         edges, count = _append_upper(edges, count, r, tile, kept)
     edges.resize(count, refcheck=False)
     return ValidatedCorrMatrix(corr.n, edges, t_len, alpha_level, tickers)

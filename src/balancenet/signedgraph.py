@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -200,13 +200,31 @@ class SignedGraph:
         return self._planes
 
 
+def _as_nodes(nodes: Iterable[int]) -> tuple[int, ...]:
+    """``nodes`` as Python ints, each taken by ``operator.index``, so that
+    NumPy integers pass; ValueError for a bool, float, string or any other
+    non-integer."""
+    import operator
+
+    out = []
+    for v in nodes:
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            out.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"node {v!r} is not an integer") from None
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Module:
     """A detected balanced module: two disjoint factions plus a threshold label.
 
-    Factions are stored as sorted tuples of distinct nodes.  ``sigma`` is
-    the threshold of the graph the module was found in, None when that graph
-    was never thresholded.
+    Factions are stored as sorted tuples of distinct nodes, Python ints:
+    NumPy integers are converted, and any other non-integer is refused.
+    ``sigma`` is the threshold of the graph the module was found in, None
+    when that graph was never thresholded.
     """
 
     faction_a: tuple[int, ...]
@@ -214,8 +232,8 @@ class Module:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
-        a = tuple(sorted(self.faction_a))
-        b = tuple(sorted(self.faction_b))
+        a = tuple(sorted(_as_nodes(self.faction_a)))
+        b = tuple(sorted(_as_nodes(self.faction_b)))
         object.__setattr__(self, "faction_a", a)
         object.__setattr__(self, "faction_b", b)
         if len(set(a)) < len(a) or len(set(b)) < len(b):
@@ -322,13 +340,14 @@ def is_balanced_triangle(s1: int, s2: int, s3: int) -> bool:
     return s1 * s2 * s3 > 0
 
 
-def _check_nodes(g: SignedGraph, nodes: Sequence[int]) -> np.ndarray:
-    idx = np.asarray(sorted(nodes), dtype=np.intp)
-    if idx.size != len(set(int(v) for v in nodes)):
+def _check_nodes(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
+    """The distinct integer nodes of ``g`` in ``nodes``, sorted, as an index array."""
+    nodes = sorted(_as_nodes(nodes))
+    if len(set(nodes)) < len(nodes):
         raise ValueError("nodes must be distinct")
-    if idx.size and (idx[0] < 0 or idx[-1] >= g.n):
+    if nodes and (nodes[0] < 0 or nodes[-1] >= g.n):
         raise ValueError("node index out of range")
-    return idx
+    return np.asarray(nodes, dtype=np.intp)
 
 
 def _block(g: SignedGraph, idx: np.ndarray) -> np.ndarray:
@@ -356,7 +375,7 @@ def is_scbm(g: SignedGraph, nodes: Iterable[int]) -> bool:
     Requires at least three nodes, a nonzero sign on every pair, and a
     positive sign product on every triangle: a split into two factions.
     """
-    idx = _check_nodes(g, list(nodes))
+    idx = _check_nodes(g, nodes)
     return idx.size >= MIN_MODULE_SIZE and _side(_block(g, idx)) is not None
 
 
@@ -369,7 +388,7 @@ def bipartition(
     split is unique up to a swap, resolved by anchoring the lowest-index node
     in faction A.  Raises ValueError when some pair has no edge.
     """
-    idx = _check_nodes(g, list(nodes))
+    idx = _check_nodes(g, nodes)
     k = idx.size
     if k == 0:
         return (), ()

@@ -184,12 +184,16 @@ def test_criterion_8_t_critical_accuracy():
 
 def test_criterion_9_validation_equivalence():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 9))
+    t_star = t_critical(241, 0.05)
     identical = True
     for _ in range(50):
         corr = pearson_matrix(rng.normal(size=(100, 243)))
-        by_threshold = validate(corr, t_len=243, method="threshold")
-        by_tstat = validate(corr, t_len=243, method="tstat")
-        if not np.array_equal(by_threshold.values != 0, by_tstat.values != 0):
+        by_threshold = validate(corr, t_len=243)
+        values = corr.values
+        # the per-pair t-test over the whole matrix; |c| = 1 gives the limit +-inf
+        with np.errstate(divide="ignore"):
+            by_tstat = np.abs(values * np.sqrt(241 / (1.0 - values * values))) > t_star
+        if not np.array_equal(by_threshold.values != 0, by_tstat):
             identical = False
             break
     report(

@@ -11,7 +11,6 @@ from scipy import stats
 
 from balancenet.corrnet import (
     EDGE_DTYPE,
-    CorrMatrix,
     ValidatedCorrMatrix,
     critical_correlation,
     load_validated,
@@ -26,15 +25,24 @@ from balancenet.corrnet import (
 from balancenet.signedgraph import Module, to_signed
 
 
-def corr_from(values):
-    values = np.asarray(values, dtype=float)
-    return CorrMatrix(zero_variance=np.zeros(len(values), dtype=bool), dense=values)
+class HandBuiltCorr:
+    """A hand-built matrix read the way :func:`validate` reads a
+    ``CorrMatrix``: its size ``n`` and its upper row tiles, here of 2 rows,
+    so that validate appends the edges of several tiles."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.n = len(self.values)
+
+    def upper_tiles(self):
+        for r in range(0, self.n, 2):
+            yield r, self.values[r : r + 2, r:]
 
 
 def pair_matrix(n, i, j, value):
     values = np.eye(n)
     values[i, j] = values[j, i] = value
-    return corr_from(values)
+    return HandBuiltCorr(values)
 
 
 # ---------------------------------------------------------------- pearson
@@ -63,6 +71,8 @@ def test_pearson_zero_variance_convention():
     assert c.zero_variance.tolist() == [True, False]
     assert c.values[0, 1] == 0.0
     assert c.values[0, 0] == 1.0
+    # a row with a NaN has no defined variance and is not flagged
+    assert pearson_matrix(np.vstack([rows, [1.0, np.nan, 3.0, 4.0]])).zero_variance.tolist() == [True, False, False]
 
 
 def test_pearson_exactly_symmetric_unit_diagonal():
@@ -105,6 +115,9 @@ def test_t_statistic_errors():
         t_statistic(0.5, 2)
     with pytest.raises(ValueError):
         t_statistic(1.5, 30)
+    for c in (np.nextafter(1.0, 2.0), -1.5, math.nan):
+        with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+            t_statistic(c, 30)
 
 
 @pytest.mark.parametrize(
@@ -156,7 +169,7 @@ def test_validate_keeps_strong_pair():
 
 
 def test_validate_zero_matrix_stays_zero():
-    v = validate(corr_from(np.eye(5)), t_len=100)
+    v = validate(HandBuiltCorr(np.eye(5)), t_len=100)
     off = ~np.eye(5, dtype=bool)
     assert not v.values[off].any()
     assert np.array_equal(np.diag(v.values), np.ones(5))
@@ -174,60 +187,78 @@ def test_validate_boundary_against_critical_correlation():
     assert validate(pair_matrix(3, 0, 1, just_below), 243).values[0, 1] == 0.0
     assert validate(pair_matrix(3, 0, 1, r_star), 243).values[0, 1] == 0.0  # strict >
     assert validate(pair_matrix(3, 0, 1, just_above), 243).values[0, 1] == just_above
+    # one rule at every length and level: r* and the entry one ulp below it
+    # are dropped, the one just above kept, on either sign
+    for t_len in (4, 10, 243, 290):
+        for alpha in (0.05, 0.01, 0.001, 1e-6):
+            r_star = critical_correlation(t_len, alpha)
+            values = np.eye(12)
+            for k, c in enumerate((math.nextafter(r_star, 0.0), r_star, math.nextafter(r_star, 1.0))):
+                values[2 * k, 2 * k + 1] = values[2 * k + 1, 2 * k] = c
+                values[2 * k + 6, 2 * k + 7] = values[2 * k + 7, 2 * k + 6] = -c
+            v = validate(HandBuiltCorr(values), t_len, alpha)
+            assert v.edges.tolist() == [(4, 5, values[4, 5]), (10, 11, values[10, 11])], (t_len, alpha)
 
 
 def test_validate_requires_enough_samples():
-    with pytest.raises(ValueError):
-        validate(corr_from(np.eye(3)), t_len=3)
+    with pytest.raises(ValueError, match="need T >= 4"):
+        validate(HandBuiltCorr(np.eye(3)), t_len=3)
 
 
 def test_validate_paths_agree_exactly():
+    # validate's |c| > r* keeps exactly the pairs the per-pair t-test keeps on
+    # Pearson matrices, whose entries are almost never within an ulp of r*
     rng = np.random.default_rng(12)
+    t_star = t_critical(28, 0.05)
     for _ in range(5):
         c = pearson_matrix(rng.normal(size=(15, 30)))
-        by_threshold = validate(c, t_len=30, method="threshold")
-        by_tstat = validate(c, t_len=30, method="tstat")
-        assert np.array_equal(by_threshold.values, by_tstat.values)
-
-
-def test_validate_unknown_method():
-    with pytest.raises(ValueError):
-        validate(corr_from(np.eye(3)), t_len=30, method="bogus")
+        values = c.values
+        kept = validate(c, t_len=30).values != 0
+        for i in range(15):
+            for j in range(15):
+                assert kept[i, j] == (i == j or abs(t_statistic(values[i, j], 30)) > t_star)
 
 
 def test_perfect_correlation_always_significant():
-    v = validate(pair_matrix(3, 0, 1, 1.0), t_len=10, method="tstat")
-    assert v.values[0, 1] == 1.0
+    for c in (1.0, -1.0):
+        v = validate(pair_matrix(3, 0, 1, c), t_len=10)
+        assert v.values[0, 1] == c
+        assert abs(t_statistic(c, 10)) > t_critical(8, 0.05)
 
 
-def test_validate_tstat_matches_the_scalar_statistic():
-    # the array route keeps exactly the pairs the per-pair statistic keeps,
-    # including |c| = 1 and entries one ulp either side of r*
+def test_validate_matches_the_scalar_statistic():
+    # validate keeps exactly the pairs the per-pair t-test keeps, including
+    # |c| = 1 and entries 1e-9 either side of r*.  Within an ulp of r* the two
+    # rules can differ by rounding, so r* and r* + 1 ulp are asserted through
+    # r*: dropped and kept.
     rng = np.random.default_rng(5)
     t_len = 40
     r_star = critical_correlation(t_len, 0.05)
     t_star = t_critical(t_len - 2, 0.05)
+    near = {(0, 1): 1.0, (2, 3): -1.0, (8, 9): r_star + 1e-9, (10, 11): -(r_star - 1e-9)}
+    at = {(4, 5): r_star, (6, 7): np.nextafter(r_star, 1.0)}
     for _ in range(5):
         values = pearson_matrix(rng.normal(size=(30, t_len))).values.copy()
-        for i, j, c in ((0, 1, 1.0), (2, 3, -1.0), (4, 5, r_star), (6, 7, np.nextafter(r_star, 1.0))):
+        for (i, j), c in {**near, **at}.items():
             values[i, j] = values[j, i] = c
-        kept = validate(corr_from(values), t_len=t_len, method="tstat").values != 0
+        kept = validate(HandBuiltCorr(values), t_len=t_len).values != 0
+        assert not kept[4, 5] and kept[6, 7]
         for i in range(30):
             for j in range(i + 1, 30):
-                assert kept[i, j] == kept[j, i] == (abs(t_statistic(values[i, j], t_len)) > t_star)
+                if (i, j) not in at:
+                    assert kept[i, j] == kept[j, i] == (abs(t_statistic(values[i, j], t_len)) > t_star)
 
 
-def test_validate_tstat_rejects_correlation_above_one():
-    with pytest.raises(ValueError, match="correlation must lie in"):
-        validate(pair_matrix(3, 0, 2, np.nextafter(1.0, 2.0)), t_len=10, method="tstat")
-
-
-@pytest.mark.parametrize("method", ["threshold", "tstat"])
+@pytest.mark.parametrize("route", ["threshold", "tstat"])
 @pytest.mark.parametrize("value", [1.5, -1.5, np.nextafter(1.0, 2.0), np.nan])
-def test_validate_rejects_correlation_outside_unit_interval_on_both_routes(method, value):
-    # the default route kept 1.5, which save_validated wrote and load_validated refused
+def test_validate_rejects_correlation_outside_unit_interval_on_both_routes(route, value):
+    # validate kept 1.5, which save_validated wrote and load_validated refused;
+    # its t-test reference, t_statistic, refuses the same values
     with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
-        validate(pair_matrix(3, 0, 1, value), t_len=10, method=method)
+        if route == "threshold":
+            validate(pair_matrix(3, 0, 1, value), t_len=10)
+        else:
+            t_statistic(value, 10)
 
 
 # ---------------------------------------------------------------- summary stats

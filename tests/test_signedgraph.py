@@ -1,6 +1,7 @@
 """Tests for signed graphs, the balance checkers, and faction splitting."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,23 @@ def test_bipartition_failure_and_errors():
         bipartition(incomplete, [0, 1, 2])
 
 
+@pytest.mark.parametrize("nodes", [[0, 1.5, 2], [0.0, 1.0, 2.9], [0, True, 2], ["0", 1, 2], [np.float64(0), 1, 2]])
+def test_is_scbm_and_bipartition_refuse_non_integer_nodes(nodes):
+    # the cast to intp cut 1.5 to 1 and 2.9 to 2, so the all +1 triangle passed
+    triangle = graph_from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="is not an integer"):
+        is_scbm(triangle, nodes)
+    with pytest.raises(ValueError, match="is not an integer"):
+        bipartition(triangle, nodes)
+
+
+def test_bipartition_returns_python_ints_for_numpy_nodes():
+    triangle = graph_from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    assert is_scbm(triangle, np.arange(3))
+    a, b = bipartition(triangle, np.array([2, 0, 1], dtype=np.int32))
+    assert (a, b) == ((0, 1, 2), ()) and all(type(v) is int for v in a)
+
+
 def test_bipartition_anchors_lowest_index_in_a():
     # node 0 negative to everyone else: 0 alone against {1, 2}
     g = graph_from_edges(3, [(0, 1, -1), (0, 2, -1), (1, 2, 1)])
@@ -436,6 +454,21 @@ def test_module_rejects_a_node_listed_twice(a, b):
         Module(a, b, 0.7)
     with pytest.raises(ValueError, match="a faction lists a node twice"):
         Module.from_report({"faction_a": list(a), "faction_b": list(b)})
+
+
+def test_module_stores_numpy_integers_as_python_ints():
+    m = Module((np.int64(3), np.int32(1)), (np.uint8(2),), 0.7)
+    assert m == Module((1, 3), (2,), 0.7)
+    assert all(type(v) is int for v in m.faction_a + m.faction_b)
+    assert json.loads(json.dumps(m.to_report()))["nodes"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("nodes", [(1.5, 2), (0, True), ("1", 2), (np.float64(1.0), 2), (np.True_, 2)])
+def test_module_refuses_non_integer_nodes(nodes):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Module(nodes, ())
+    with pytest.raises(ValueError, match="is not an integer"):
+        Module((), nodes)
 
 
 def test_module_canonical_swaps_factions():
