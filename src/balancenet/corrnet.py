@@ -161,7 +161,10 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     :meth:`CorrMatrix.upper_tiles`), each unordered pair once, so the
     mirrored matrix is exactly symmetric and no n x n array is built.
     Zero-variance rows produce 0 correlations (flagged) instead of an error,
-    keeping index stability through the pipeline.
+    keeping index stability through the pipeline.  Each row's deviations are
+    scaled by a power of two near their largest magnitude before they are
+    squared, so the squares neither overflow nor all underflow; the scaling
+    is exact, so z is the same to the bit as without it for ordinary rows.
     """
     data = np.asarray(getattr(returns, "returns", returns), dtype=float)
     if data.ndim != 2:
@@ -171,11 +174,9 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
         raise ValueError("need at least 2 return observations")
 
     dev = data - data.mean(axis=1, keepdims=True)
-    norms = np.sqrt((dev * dev).sum(axis=1))
-    degenerate = norms == 0.0
-    z = dev / np.where(degenerate, 1.0, norms)[:, None]
-    z[degenerate] = 0.0  # all 0 already, unless every deviation's square underflowed
-    return CorrMatrix(z)
+    dev = np.ldexp(dev, -np.frexp(np.abs(dev).max(axis=1, keepdims=True))[1])
+    norms = np.sqrt((dev * dev).sum(axis=1, keepdims=True))
+    return CorrMatrix(dev / np.where(norms == 0.0, 1.0, norms))  # a zero norm means all-zero deviations
 
 
 def t_statistic(c: float, t_len: int) -> float:

@@ -23,13 +23,19 @@ the +1 rows and the -1 rows.  They are the graph's one stored form, so no
 call builds them, and node impacts are popcounts of their rows.  Signs are
 symmetric, so "u is -1 to all of a set" is u's bit in the AND of the set's
 -1 rows: cross-pruning and the admission flags are AND-reduces over packed
-rows.  Each node's last conflict, the highest node without a +1 tie to
-it, is found once per call, and settles most intra-prune candidates without
-gathering their rows.  Seeds go in chunks that fit ``_CHUNK_BYTES`` of
-gathered rows; one pass of each kernel prunes and flags all factions of a
-chunk, carried as one list of (faction, node) pairs, so the per-call cost is
-paid per chunk, not per seed.  Only the admission sweep runs seed by seed.
-From about 4,100 nodes up a chunk is one seed.
+rows.  Each node's highest 64-bit word of conflicts, nodes without a +1 tie
+to it, is found once per call; one word test against it settles almost
+every intra-prune candidate without gathering its row.  Seeds go in chunks
+that fit ``_CHUNK_BYTES`` of gathered rows; one pass of each kernel prunes
+and flags all factions of a chunk, carried as one list of (faction, node)
+pairs, so the per-call cost is paid per chunk, not per seed.  From about
+4,100 nodes up a chunk is one seed.
+
+Only the admission sweep runs seed by seed, on each seed's two flag
+bitsets as Python ints.  It never visits a node it does not admit: the
+flags only fall, so the next node admitted is always the lowest set flag,
+and each step jumps to it (see :func:`_sweep`).  The rows it ANDs in are
+converted to ints once per call, on first use, and shared by the seeds.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ DEFAULT_MAX_SEEDS = 100
 # so a chunk is this // plane bytes seeds.  It does not bound what a chunk
 # holds per (faction, node) pair, up to n pairs per seed: several 8-byte
 # index arrays, and a byte per node and faction while the masks are
-# unpacked.  The last-conflict index leaves few rows to gather, so the
+# unpacked.  The conflict-word index leaves few rows to gather, so the
 # budget can be large enough to share numpy's per-call cost among seeds.
 _CHUNK_BYTES = 4 * 1024 * 1024
+_ONES = ~np.uint64(0)
 
 
 @dataclass(frozen=True)
@@ -103,31 +110,36 @@ def _and_rows(planes: np.ndarray, nodes: np.ndarray, at: np.ndarray) -> np.ndarr
     return out
 
 
-def _last_conflicts(pos: np.ndarray) -> np.ndarray:
-    """Per node u, the highest node v < n with no +1 tie to u: u itself when u
-    is +1 to every later node, since the diagonal is 0.  One pass over the +1
-    rows ``pos``, a row tile at a time; the padding bits past n never count."""
+def _last_conflicts(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node u, the highest 64-bit word of u's conflicts, the nodes v < n
+    with no +1 tie to u, as its index and the word itself (node v is bit
+    v % 64 of word v // 64).  u is a conflict of its own, since the diagonal
+    is 0, so the index is never below u's own word u // 64.  One pass over
+    the +1 rows ``pos``, a row tile at a time; the padding bits past n never
+    count."""
     n, width = pos.shape
-    real = np.packbits(np.arange(8 * width) < n, bitorder="little")
-    last = np.empty(n, dtype=np.intp)
+    real = np.packbits(np.arange(8 * width) < n, bitorder="little").view("<u8")
+    top = np.empty(n, dtype=np.intp)
+    word = np.empty(n, dtype=np.uint64)
     for r in range(0, n, ROW_TILE):
-        bad = ~pos[r : r + ROW_TILE] & real
-        top = width - 1 - (bad[:, ::-1] != 0).argmax(axis=1)
-        top_byte = bad[np.arange(bad.shape[0]), top]
-        last[r : r + ROW_TILE] = 8 * top + np.frexp(top_byte)[1] - 1
-    return last
+        bad = ~pos[r : r + ROW_TILE].view("<u8") & real
+        top[r : r + ROW_TILE] = high = bad.shape[1] - 1 - (bad[:, ::-1] != 0).argmax(axis=1)
+        word[r : r + ROW_TILE] = bad[np.arange(bad.shape[0]), high]
+    return top, word
 
 
-def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarray, last: np.ndarray) -> tuple:
+def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarray, conflicts: tuple) -> tuple:
     """Keep the members whose ties to every later member of their row are +1.
 
-    ``masks`` are the rows' packed factions and ``last`` is
+    ``masks`` are the rows' packed factions and ``conflicts`` is
     :func:`_last_conflicts` of the +1 rows ``pos``.  A row's last member
     always survives, and any other survivor must be +1 to its successor, so
-    only those members are candidates.  A candidate u whose last conflict is
-    u itself survives, and one whose last conflict is in its faction does
-    not.  For the rest the faction bits outside u's +1 row include u itself
-    (the diagonal is 0), and u survives iff it is the highest of them.
+    only those members are candidates.  Most are settled by one 64-bit word:
+    a candidate u goes if its faction holds a conflict above u in u's
+    highest conflict word, and survives if it holds none there and that word
+    is u's own, since no conflict lies in a later word.  For the rest the
+    faction bits outside u's +1 row include u itself (the diagonal is 0),
+    and u survives iff it is the highest of them.
     """
     rows, nodes, at = pairs
     keep = np.ones(nodes.size, dtype=bool)
@@ -135,9 +147,12 @@ def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarr
     succ = nodes[1:]
     cand = (~keep[:-1] & ((pos[nodes[:-1], succ >> 3] >> (succ & 7)) & 1 == 1)).nonzero()[0]
     u = nodes[cand]
-    v = last[u]
-    keep[cand] = v == u
-    cand = cand[(v != u) & ((masks[rows[cand], v >> 3] >> (v & 7)) & 1 == 0)]
+    top, word = conflicts[0][u], conflicts[1][u]
+    own = top == u >> 6
+    above = np.where(own, _ONES << (u & 63).astype(np.uint64) << 1, _ONES)  # the bits of word top above u
+    clear = masks.view("<u8")[rows[cand], top] & word & above == 0
+    keep[cand] = own & clear
+    cand = cand[~own & clear]
     u = nodes[cand]
     bad = pos[u]
     np.invert(bad, out=bad)
@@ -145,22 +160,22 @@ def _intra_prune(pairs: tuple[np.ndarray, ...], masks: np.ndarray, pos: np.ndarr
     for mask, lo, hi in zip(masks, cut, cut[1:]):
         if lo < hi:
             bad[lo:hi] &= mask  # one broadcast per faction, not one gather per member
-    words = bad.view("<u8")  # node v is bit v % 64 of word v // 64
-    top = words.shape[1] - 1 - (words[:, ::-1] != 0).argmax(axis=1)
-    top_word = words[np.arange(cand.size), top]
-    keep[cand] = (top == u >> 6) & (top_word >> (u & 63).astype(np.uint64) == 1)
+    words = bad.view("<u8")
+    high = words.shape[1] - 1 - (words[:, ::-1] != 0).argmax(axis=1)
+    high_word = words[np.arange(cand.size), high]
+    keep[cand] = (high == u >> 6) & (high_word >> (u & 63).astype(np.uint64) == 1)
     return _kept(pairs, keep)
 
 
-def _prune(masks: np.ndarray, planes: np.ndarray, last: np.ndarray) -> tuple:
+def _prune(masks: np.ndarray, planes: np.ndarray, conflicts: tuple) -> tuple:
     """Prune c seeds' factions, packed as each seed's A and then each B, to the
     fixed point: the surviving A and B as :func:`_members` pairs, and per seed
-    the AND of B's rows in each plane.  ``last`` is :func:`_last_conflicts`
-    of the +1 plane.  An A member stays iff it is -1 to all of its B.  The B
-    members -1 to all of the surviving A stay next, and by symmetry that is
-    all of B."""
+    the AND of B's rows in each plane.  ``conflicts`` is
+    :func:`_last_conflicts` of the +1 plane.  An A member stays iff it is -1
+    to all of its B.  The B members -1 to all of the surviving A stay next,
+    and by symmetry that is all of B."""
     c = masks.shape[0] // 2
-    rows, nodes, at = _intra_prune(_members(masks), masks, planes[0], last)
+    rows, nodes, at = _intra_prune(_members(masks), masks, planes[0], conflicts)
     a = rows[: at[c]], nodes[: at[c]], at[: c + 1]
     b = rows[at[c] :] - c, nodes[at[c] :], at[c:] - at[c]
     b_and = _and_rows(planes, *b[1:])
@@ -168,18 +183,44 @@ def _prune(masks: np.ndarray, planes: np.ndarray, last: np.ndarray) -> tuple:
     return _kept(a, neg_b[a[0], a[1]] == 1), b, b_and
 
 
-def _sweep(a: list, b: list, ok: np.ndarray, live: list, planes: np.ndarray) -> tuple:
-    """Admit the ascending ``live`` nodes to ``a`` or ``b`` while their flags in
-    ``ok`` hold, ANDing each newcomer's rows into the flags."""
-    ok_a, ok_b = ok
-    for node in live:
-        byte, bit = node >> 3, 1 << (node & 7)
-        if ok_a[byte] & bit:
+class _RowInts(dict):
+    """Node -> its +1 and -1 rows as Python ints (node v is bit v), each
+    converted from the packed planes on its first use and kept."""
+
+    def __init__(self, planes: np.ndarray) -> None:
+        super().__init__()
+        self.planes = planes
+
+    def __missing__(self, node: int) -> tuple[int, int]:
+        pos, neg = self.planes[:, node]
+        self[node] = rows = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+        return rows
+
+
+def _sweep(ok_a: int, ok_b: int, rows: _RowInts) -> tuple[list[int], list[int]]:
+    """The nodes admitted to A and to B, each ascending, from the flags ``ok_a``
+    for joining A and ``ok_b`` for joining B, bit v for node v.
+
+    A node is admitted where its flag is set when the ascending sweep reaches
+    it, and its rows are ANDed into both flags, clearing its own bits since
+    the diagonal is 0.  The flags only fall, so no flag at or below an
+    admitted node is ever set again, and the next node admitted is always the
+    lowest set flag: the sweep jumps from one admission to the next and never
+    steps through the nodes between them.
+    """
+    a, b = [], []
+    while either := ok_a | ok_b:
+        low = either & -either
+        node = low.bit_length() - 1
+        pos, neg = rows[node]
+        if ok_a & low:
             a.append(node)
-            ok &= planes[:, node]
-        elif ok_b[byte] & bit:
+            ok_a &= pos
+            ok_b &= neg
+        else:
             b.append(node)
-            ok &= planes[::-1, node]
+            ok_a &= neg
+            ok_b &= pos
     return a, b
 
 
@@ -198,24 +239,22 @@ def expand(
     are empty, current members (zero diagonal) and nodes with a zero tie to
     any member are never admitted, so callers need not filter them out.
 
-    The conditions are two packed flag vectors over all nodes: A's is the
-    AND of A's +1 rows and B's -1 rows, B's the mirror, and each admission
-    ANDs the newcomer's rows into both.
+    The conditions are two flag bitsets over all nodes, restricted to the
+    candidates: A's is the AND of A's +1 rows and B's -1 rows, B's the
+    mirror, and each admission ANDs the newcomer's rows into both (see
+    :func:`_sweep`).
     """
     planes = g.bit_rows()
     a_list = sorted(np.fromiter(a, dtype=np.intp).tolist())
     b_list = sorted(np.fromiter(b, dtype=np.intp).tolist())
-    cand = np.bincount(np.asarray(candidates, dtype=np.intp)).nonzero()[0]
-    if cand.size == 0:
-        return tuple(a_list), tuple(b_list)
+    cand = np.bincount(np.asarray(candidates, dtype=np.intp)) != 0
+    allowed = int.from_bytes(np.packbits(cand, bitorder="little"), "little")
 
     at = np.array([0, len(a_list), len(a_list) + len(b_list)])
     ands = _and_rows(planes, np.array(a_list + b_list, dtype=np.intp), at)
-    ok = ands[:, 0] & ands[::-1, 1]  # row 0 flags joining A, row 1 joining B
-    # the flags only fall, so no other candidate can join
-    live = cand[((ok[0] | ok[1])[cand >> 3] >> (cand & 7)) & 1 == 1]
-    _sweep(a_list, b_list, ok, live.tolist(), planes)
-    return tuple(sorted(a_list)), tuple(sorted(b_list))
+    ok_a, ok_b = (int.from_bytes(flags, "little") & allowed for flags in ands[:, 0] & ands[::-1, 1])
+    fa, fb = _sweep(ok_a, ok_b, _RowInts(planes))
+    return tuple(sorted(a_list + fa)), tuple(sorted(b_list + fb))
 
 
 def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
@@ -223,10 +262,10 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
 
     Seeds are the top min(max_seeds, N) nodes by impact (ties broken by
     ascending index); zero-impact seeds are skipped.  Each seed's pruned
-    factions are swept as :func:`expand` sweeps them, over the nodes whose
-    flags are set after pruning; the sweep is skipped when those nodes and
-    the factions cannot beat the best so far.  Returns the empty module when
-    nothing of size >= MIN_MODULE_SIZE is found.
+    factions are swept as :func:`expand` sweeps them, over every node;
+    the sweep is skipped when the factions and the nodes whose flags are set
+    after pruning cannot beat the best so far.  Returns the empty module
+    when nothing of size >= MIN_MODULE_SIZE is found.
 
     The loop stops early without changing the result.  A seed is never
     pruned: it is +1 to the rest of A, its +1 row, and -1 to all of B, its
@@ -239,7 +278,8 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     seeds = np.argsort(-impacts, kind="stable")[: min((cfg or DetectConfig()).max_seeds, g.n)]
     seeds = seeds[impacts[seeds] > 0]
     planes = g.bit_rows()
-    last = _last_conflicts(planes[0])
+    conflicts = _last_conflicts(planes[0])
+    rows = _RowInts(planes)  # shared by the seeds, whose modules overlap
     chunk = max(1, _CHUNK_BYTES // max(planes[0].nbytes, 1))
 
     best_size, best_a, best_b = 0, [], []
@@ -250,22 +290,20 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
         # A starts as each seed's +1 row and the seed, B as its -1 row
         masks = planes[:, part].reshape(2 * part.size, -1)
         masks[np.arange(part.size), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
-        a, b, b_and = _prune(masks, planes, last)
+        a, b, b_and = _prune(masks, planes, conflicts)
         ok = _and_rows(planes, *a[1:]) & b_and[::-1]
-        live = _members(ok[0] | ok[1])
-        # each seed's A, B and live nodes as lists, for the sweep
-        a_rows, b_rows, live_rows = (
-            [nodes[x:y] for x, y in zip(at, at[1:])]
-            for nodes, at in ((p[1].tolist(), p[2].tolist()) for p in (a, b, live))
-        )
-        for i, seed in enumerate(part.tolist()):
+        pruned = np.diff(a[2]) + np.diff(b[2])
+        flagged = np.bitwise_count(ok[0] | ok[1]).sum(axis=1, dtype=np.intp)
+        for i, (seed, size, bound) in enumerate(zip(part.tolist(), pruned.tolist(), (pruned + flagged).tolist())):
             if impacts[seed] + 1 <= best_size:
                 break
-            if len(a_rows[i]) + len(b_rows[i]) + len(live_rows[i]) <= best_size:
+            if bound <= best_size:
                 continue
-            fa, fb = _sweep(a_rows[i], b_rows[i], ok[:, i].copy(), live_rows[i], planes)
-            if len(fa) + len(fb) > best_size:
-                best_size, best_a, best_b = len(fa) + len(fb), fa, fb
+            fa, fb = _sweep(int.from_bytes(ok[0, i], "little"), int.from_bytes(ok[1, i], "little"), rows)
+            if size + len(fa) + len(fb) > best_size:
+                best_size = size + len(fa) + len(fb)
+                best_a = a[1][a[2][i] : a[2][i + 1]].tolist() + fa
+                best_b = b[1][b[2][i] : b[2][i + 1]].tolist() + fb
 
     if best_size < MIN_MODULE_SIZE:
         return Module.empty(g.sigma)

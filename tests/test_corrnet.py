@@ -75,6 +75,28 @@ def test_pearson_zero_variance_convention():
     assert pearson_matrix(np.vstack([rows, [1.0, np.nan, 3.0, 4.0]])).zero_variance.tolist() == [True, False, False]
 
 
+def test_pearson_scales_rows_whose_squares_overflow_or_underflow():
+    # unscaled, the squares of the first row overflow and those of the third
+    # all underflow: both rows read as zero variance with 0 correlations
+    shape = [1.0, -3.0, 2.0, -1.0]
+    c = pearson_matrix([[1e200 * x for x in shape], [1.0, -3.0, 2.0, -1.5], [1e-310 * x for x in shape]])
+    want = pearson_matrix([shape, [1.0, -3.0, 2.0, -1.5]]).values[0, 1]
+    assert c.zero_variance.tolist() == [False, False, False]
+    assert c.values[0, 1] == pytest.approx(want, abs=1e-12)
+    assert c.values[2, 1] == pytest.approx(want, abs=1e-12)
+    assert c.values[0, 2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 0.01, 1.0, 3.0, 1e6])
+def test_pearson_scaling_leaves_ordinary_rows_bit_identical(scale):
+    # the power-of-two scale is exact, so z is the unscaled formula's to the
+    # bit, and the edge files built from it do not move
+    rows = scale * np.random.default_rng(8).standard_t(3, size=(40, 243))
+    dev = rows - rows.mean(axis=1, keepdims=True)
+    want = dev / np.sqrt((dev * dev).sum(axis=1))[:, None]
+    assert np.array_equal(pearson_matrix(rows).z, want)
+
+
 def test_pearson_exactly_symmetric_unit_diagonal():
     rng = np.random.default_rng(3)
     c = pearson_matrix(rng.normal(size=(20, 60)))

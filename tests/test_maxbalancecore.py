@@ -17,6 +17,7 @@ from balancenet.maxbalancecore import (
     expand,
     node_impacts,
 )
+from balancenet.experiments import regime_edge_law
 from balancenet.oracle import exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
 from balancenet.signedgraph import Module, SignedGraph, is_scbm, to_signed
@@ -105,6 +106,29 @@ def test_detect_chunks_stay_within_the_budget():
     assert peak <= planes_bytes + n * n + 4 * _CHUNK_BYTES
 
 
+def test_detect_reuses_rows_across_seeds(monkeypatch):
+    # the seeds of this graph admit 155 nodes in all but only 47 distinct
+    # ones, so most admissions AND in rows that an earlier seed converted
+    converted, admitted = [], []
+
+    class CountingRows(maxbalancecore._RowInts):
+        def __missing__(self, node):
+            converted.append(node)
+            return super().__missing__(node)
+
+    def counting_sweep(ok_a, ok_b, rows):
+        fa, fb = sweep(ok_a, ok_b, rows)
+        admitted.extend(fa + fb)
+        return fa, fb
+
+    sweep = maxbalancecore._sweep
+    monkeypatch.setattr(maxbalancecore, "_RowInts", CountingRows)
+    monkeypatch.setattr(maxbalancecore, "_sweep", counting_sweep)
+    g = sample_signed(SignedModelParams(65, 0.6, 0.3, seed=0))
+    assert detect(g) == reference_detect(reference_seed_modules(g, 100))
+    assert sorted(converted) == sorted(set(admitted)) and len(converted) < len(admitted)
+
+
 @pytest.mark.parametrize("budget", [1, 1024, 16 * 1024])
 def test_detect_does_not_depend_on_the_chunk_budget(budget, monkeypatch):
     # a 1-byte budget makes each seed a chunk of its own; 1 KiB puts 3 seeds
@@ -126,30 +150,36 @@ def test_detect_does_not_depend_on_the_chunk_budget(budget, monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 520])
 def test_last_conflicts_match_their_definition(n):
-    # the highest v < n with signs[u, v] != 1; sizes around whole bytes, 64-bit
-    # words and row tiles check that no padding bit past n is ever reported
+    # W = (the highest v < n with signs[u, v] != 1) // 64 and the word of those
+    # v in [64W, 64W + 64); sizes around whole bytes, 64-bit words and row
+    # tiles check that no padding bit past n is ever reported
     graphs = [SignedGraph(signs=np.zeros((n, n), dtype=np.int8))]
     for k, (alpha, beta) in enumerate([(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (1.0, 0.0)]):
         graphs.append(sample_signed(SignedModelParams(max(n, 1), alpha, beta, seed=10 * n + k)))
     for g in graphs:
         signs = g.signs
-        want = [max(v for v in range(g.n) if signs[u, v] != 1) for u in range(g.n)]
-        assert _last_conflicts(g.bit_rows()[0]).tolist() == want
+        tops = [max(v for v in range(g.n) if signs[u, v] != 1) // 64 for u in range(g.n)]
+        words = [
+            sum(1 << (v % 64) for v in range(64 * w, min(64 * w + 64, g.n)) if signs[u, v] != 1)
+            for u, w in enumerate(tops)
+        ]
+        top, word = _last_conflicts(g.bit_rows()[0])
+        assert (top.tolist(), word.tolist()) == (tops, words)
 
 
 # ---------------------------------------------------------------- pruning
 
 
-def prune(a, b, g, last=None):
+def prune(a, b, g, conflicts=None):
     """``_prune`` on one pair of disjoint factions, packed into its (2, W) masks
     as :func:`detect` packs a seed's A and B, with the graph's last-conflict
-    index unless ``last`` is given; the survivors as sorted tuples."""
+    index unless ``conflicts`` is given; the survivors as sorted tuples."""
     planes = g.bit_rows()
     member = np.zeros((2, 8 * planes.shape[2]), dtype=bool)
     member[0, np.asarray(a, dtype=np.intp)] = member[1, np.asarray(b, dtype=np.intp)] = True
-    if last is None:
-        last = _last_conflicts(planes[0])
-    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes, last)
+    if conflicts is None:
+        conflicts = _last_conflicts(planes[0])
+    a_out, b_out, _ = _prune(np.packbits(member, axis=1, bitorder="little"), planes, conflicts)
     return tuple(a_out[1].tolist()), tuple(b_out[1].tolist())
 
 
@@ -237,10 +267,11 @@ def graphs_with_factions(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(graphs_with_factions())
 def test_prune_survivors_do_not_depend_on_the_last_conflict_index(case):
-    # every index entry at the padding bit 8W - 1, past n and so in no faction,
-    # sends every candidate through the full-row test
+    # every index entry an empty word at word index -1, which numpy reads as
+    # the last word and which is no node's own index, so the word settles no
+    # candidate and every one takes the full-row test
     g, a, b = case
-    no_index = np.full(g.n, 8 * g.bit_rows().shape[2] - 1)
+    no_index = np.full(g.n, -1), np.zeros(g.n, dtype=np.uint64)
     assert prune(a, b, g) == prune(a, b, g, no_index) == reference_prune(a, b, g.signs)
 
 
@@ -277,6 +308,31 @@ def test_packed_kernels_match_the_int8_rules(n):
         cands = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))).tolist()
         assert expand(*pruned, g, cands) == reference_expand(*pruned, g.signs, cands)
         assert expand(a, b, g, cands) == reference_expand(a, b, g.signs, cands)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A sampled graph of n in {63, 64, 65, 128} nodes under the general, dense
+    or negative law, up to six seed-like faction members and a candidate
+    list with repeats."""
+    n = draw(st.sampled_from([63, 64, 65, 128]))
+    law = regime_edge_law(draw(st.sampled_from(["general", "dense", "negative"])), n)
+    g = sample_signed(SignedModelParams(n, *law, seed=draw(st.integers(0, 2**32 - 1))))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, 6))
+    split = draw(st.integers(0, k))
+    return g, order[:split], order[split:k], draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(sweep_cases())
+def test_jump_sweep_matches_the_int8_rule(case):
+    # sizes at and around one 64-bit word and two: the lowest set flag may sit
+    # in any word, and the padding bits past n must never be admitted
+    g, a, b, cands = case
+    for factions in ((a, b), prune(a, b, g)):
+        for candidates in (cands, range(g.n)):
+            assert expand(*factions, g, candidates) == reference_expand(*factions, g.signs, candidates)
 
 
 def reference_seed_modules(g, max_seeds):
