@@ -28,7 +28,6 @@ from balancenet.signedgraph import (
     Module,
     SignedGraph,
     bipartition,
-    is_balanced_triangle,
     is_scbm,
     to_signed,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SignedGraph",
     "Module",
     "to_signed",
-    "is_balanced_triangle",
     "is_scbm",
     "bipartition",
     "DetectConfig",

@@ -119,13 +119,15 @@ class ValidatedCorrMatrix:
         tickers: tuple[str, ...] | None = None,
     ) -> "ValidatedCorrMatrix":
         """The network of a symmetric square matrix, e.g. a hand-built one; its
-        diagonal is ignored."""
+        diagonal is ignored, and its other entries must lie in [-1, 1]."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("values must be a square matrix")
         if not np.array_equal(values, values.T, equal_nan=True):
             raise ValueError("values must be symmetric")
         edges, count = _append_upper(np.empty(0, dtype=EDGE_DTYPE), 0, 0, values, values != 0)
+        if not (np.abs(edges["w"][:count]) <= 1.0).all():  # also true for NaN
+            raise ValueError("correlation must lie in [-1, 1]")
         return cls(len(values), edges[:count], t_len, alpha_level, tickers)
 
     @property
@@ -161,8 +163,9 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     :meth:`CorrMatrix.upper_tiles`), each unordered pair once, so the
     mirrored matrix is exactly symmetric and no n x n array is built.
     Zero-variance rows produce 0 correlations (flagged) instead of an error,
-    keeping index stability through the pipeline.  Each row's deviations are
-    scaled by a power of two near their largest magnitude before they are
+    keeping index stability through the pipeline.  Each row is scaled by a
+    power of two near its largest magnitude before its mean is taken, so the
+    sum cannot overflow, and its deviations likewise before they are
     squared, so the squares neither overflow nor all underflow; the scaling
     is exact, so z is the same to the bit as without it for ordinary rows.
     """
@@ -173,8 +176,9 @@ def pearson_matrix(returns: "ReturnMatrix | np.ndarray") -> CorrMatrix:
     if t_len < 2:
         raise ValueError("need at least 2 return observations")
 
-    dev = data - data.mean(axis=1, keepdims=True)
-    dev = np.ldexp(dev, -np.frexp(np.abs(dev).max(axis=1, keepdims=True))[1])
+    dev = np.ldexp(data, -np.frexp(np.abs(data).max(axis=1, keepdims=True))[1])
+    dev -= dev.mean(axis=1, keepdims=True)
+    np.ldexp(dev, -np.frexp(np.abs(dev).max(axis=1, keepdims=True))[1], out=dev)
     norms = np.sqrt((dev * dev).sum(axis=1, keepdims=True))
     return CorrMatrix(dev / np.where(norms == 0.0, 1.0, norms))  # a zero norm means all-zero deviations
 

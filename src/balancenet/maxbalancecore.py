@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph
+from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph, _check_nodes, _RowInts
 
 DEFAULT_MAX_SEEDS = 100
 # packed-row bytes one chunk of seeds may gather, counted as n rows per seed,
@@ -183,20 +183,6 @@ def _prune(masks: np.ndarray, planes: np.ndarray, conflicts: tuple) -> tuple:
     return _kept(a, neg_b[a[0], a[1]] == 1), b, b_and
 
 
-class _RowInts(dict):
-    """Node -> its +1 and -1 rows as Python ints (node v is bit v), each
-    converted from the packed planes on its first use and kept."""
-
-    def __init__(self, planes: np.ndarray) -> None:
-        super().__init__()
-        self.planes = planes
-
-    def __missing__(self, node: int) -> tuple[int, int]:
-        pos, neg = self.planes[:, node]
-        self[node] = rows = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-        return rows
-
-
 def _sweep(ok_a: int, ok_b: int, rows: _RowInts) -> tuple[list[int], list[int]]:
     """The nodes admitted to A and to B, each ascending, from the flags ``ok_a``
     for joining A and ``ok_b`` for joining B, bit v for node v.
@@ -239,21 +225,22 @@ def expand(
     are empty, current members (zero diagonal) and nodes with a zero tie to
     any member are never admitted, so callers need not filter them out.
 
-    The conditions are two flag bitsets over all nodes, restricted to the
-    candidates: A's is the AND of A's +1 rows and B's -1 rows, B's the
-    mirror, and each admission ANDs the newcomer's rows into both (see
-    :func:`_sweep`).
+    The conditions are two flag bitsets over the candidates: A's is the AND
+    of A's +1 rows and B's -1 rows, B's the mirror, each row read as an int,
+    and each admission ANDs the newcomer's rows into both (see
+    :func:`_sweep`).  Raises ValueError naming a node that is not in ``g``.
     """
-    planes = g.bit_rows()
-    a_list = sorted(np.fromiter(a, dtype=np.intp).tolist())
-    b_list = sorted(np.fromiter(b, dtype=np.intp).tolist())
-    cand = np.bincount(np.asarray(candidates, dtype=np.intp)) != 0
-    allowed = int.from_bytes(np.packbits(cand, bitorder="little"), "little")
-
-    at = np.array([0, len(a_list), len(a_list) + len(b_list)])
-    ands = _and_rows(planes, np.array(a_list + b_list, dtype=np.intp), at)
-    ok_a, ok_b = (int.from_bytes(flags, "little") & allowed for flags in ands[:, 0] & ands[::-1, 1])
-    fa, fb = _sweep(ok_a, ok_b, _RowInts(planes))
+    rows = _RowInts(g.bit_rows())
+    a_list = sorted(_check_nodes(g, a))
+    b_list = sorted(_check_nodes(g, b))
+    ok_a = ok_b = sum(1 << v for v in set(_check_nodes(g, candidates)))
+    for v in a_list:
+        pos, neg = rows[v]
+        ok_a, ok_b = ok_a & pos, ok_b & neg
+    for v in b_list:
+        pos, neg = rows[v]
+        ok_a, ok_b = ok_a & neg, ok_b & pos
+    fa, fb = _sweep(ok_a, ok_b, rows)
     return tuple(sorted(a_list + fa)), tuple(sorted(b_list + fb))
 
 

@@ -13,7 +13,7 @@ holds the floor at s - 1, caps the depth at s and counts the sets of size s.
 
 from __future__ import annotations
 
-from balancenet.signedgraph import MIN_MODULE_SIZE, Module, SignedGraph
+from balancenet.signedgraph import MIN_MODULE_SIZE, Module, SignedGraph, _mask_nodes, _RowInts
 
 MAX_ORACLE_NODES = 22
 
@@ -29,15 +29,6 @@ def _check_budget(g: SignedGraph) -> None:
         )
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _search(g: SignedGraph, floor: int, cap: int, climb: bool) -> tuple[int, int, int]:
     """The one DFS: ``(hits, a_mask, b_mask)`` over the balanced sets it reaches.
 
@@ -46,8 +37,7 @@ def _search(g: SignedGraph, floor: int, cap: int, climb: bool) -> tuple[int, int
     hit's size, so hits are strict new bests.  No set grows past ``cap``
     nodes, and a branch is cut once ``size + remaining <= floor``.
     """
-    # per-node +1 and -1 neighbour sets as Python ints: bit j is node j
-    pos, neg = ([int.from_bytes(row.tobytes(), "little") for row in plane] for plane in g.bit_rows())
+    rows = _RowInts(g.bit_rows())  # node -> its +1 and -1 neighbour sets, bit j node j
     hits = 0
     split = (0, 0)
 
@@ -62,14 +52,15 @@ def _search(g: SignedGraph, floor: int, cap: int, climb: bool) -> tuple[int, int
             cands ^= low
             v = low.bit_length() - 1
             above = -(low << 1)  # bits strictly greater than v
+            pos, neg = rows[v]
             if can_a & low:
                 na, nb = a_mask | low, b_mask
-                next_a = can_a & pos[v] & above
-                next_b = can_b & neg[v] & above
+                next_a = can_a & pos & above
+                next_b = can_b & neg & above
             else:
                 na, nb = a_mask, b_mask | low
-                next_a = can_a & neg[v] & above
-                next_b = can_b & pos[v] & above
+                next_a = can_a & neg & above
+                next_b = can_b & pos & above
             if k > floor:
                 hits += 1
                 split = (na, nb)
@@ -81,7 +72,8 @@ def _search(g: SignedGraph, floor: int, cap: int, climb: bool) -> tuple[int, int
     for v0 in range(g.n):
         start = 1 << v0
         above = -(start << 1)
-        grow(start, 0, pos[v0] & above, neg[v0] & above, 1)
+        pos, neg = rows[v0]
+        grow(start, 0, pos & above, neg & above, 1)
     return hits, split[0], split[1]
 
 
@@ -95,7 +87,7 @@ def exact_lscbm(g: SignedGraph) -> Module:
     _, a_mask, b_mask = _search(g, MIN_MODULE_SIZE - 1, g.n, climb=True)
     if not a_mask:
         return Module.empty(g.sigma)
-    return Module(_bits(a_mask), _bits(b_mask), g.sigma).canonical()
+    return Module(_mask_nodes(a_mask), _mask_nodes(b_mask), g.sigma).canonical()
 
 
 def count_scbm(g: SignedGraph, s: int) -> int:

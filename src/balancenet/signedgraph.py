@@ -5,7 +5,9 @@ sign and every triangle has a positive sign product.  On complete signed
 subgraphs that triangle condition is equivalent to a two-faction split with
 positive edges inside factions and negative edges across (Cartwright &
 Harary's structure theorem).  Both checkers decide it by that split, in one
-helper over the node set's int8 block, tested against a triangle loop.
+helper that reads each node's two rows as Python ints, tested against a
+triangle loop.  ``_RowInts`` is the one conversion of plane rows to ints:
+the checkers, ``detect``'s sweep, ``expand`` and the oracle all read them so.
 
 Graphs are held as packed sign planes.  Every bit above the diagonal is
 written by ``_write_upper``: the constructor, :func:`to_signed` and
@@ -328,45 +330,64 @@ def to_signed(v: ValidatedCorrMatrix, sigma: float = DEFAULT_SIGMA) -> SignedGra
     return SignedGraph._from_upper(planes, sigma)
 
 
-def is_balanced_triangle(s1: int, s2: int, s3: int) -> bool:
-    """True iff the product of the three edge signs is positive.
-
-    All three edges must be present (+1 or -1); a zero sign means the
-    triangle is incomplete and is a caller error.
-    """
-    for s in (s1, s2, s3):
-        if s not in (-1, 1):
-            raise ValueError("triangle edges must be -1 or +1")
-    return s1 * s2 * s3 > 0
+def _check_nodes(g: SignedGraph, nodes: Iterable[int]) -> tuple[int, ...]:
+    """``nodes`` as Python ints (see ``_as_nodes``); ValueError naming the
+    first that is not a node of ``g``."""
+    nodes = _as_nodes(nodes)
+    for v in nodes:
+        if not 0 <= v < g.n:
+            raise ValueError(f"node {v} is out of range for a graph of {g.n} nodes")
+    return nodes
 
 
-def _check_nodes(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
-    """The distinct integer nodes of ``g`` in ``nodes``, sorted, as an index array."""
-    nodes = sorted(_as_nodes(nodes))
-    if len(set(nodes)) < len(nodes):
+class _RowInts(dict):
+    """Node -> its +1 and -1 rows as Python ints (node v is bit v), each
+    converted from the packed planes on its first use and kept."""
+
+    def __init__(self, planes: np.ndarray) -> None:
+        super().__init__()
+        self.planes = planes
+
+    def __missing__(self, node: int) -> tuple[int, int]:
+        self[node] = rows = self.read(self.planes, node)
+        return rows
+
+    @staticmethod
+    def read(planes: np.ndarray, node: int) -> tuple[int, int]:
+        """The node's two rows as ints, not kept: the one conversion."""
+        pos, neg = planes[:, node]
+        return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+
+
+def _mask_nodes(mask: int) -> tuple[int, ...]:
+    """The nodes of a bitset, node v bit v, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _split(g: SignedGraph, nodes: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
+    """Whether every pair of the distinct nodes ``nodes`` has a sign, and
+    their two factions as bitsets (node v is bit v) if they are complete and
+    balanced, else None.  The lowest node and its +1 ties in the set make
+    the first faction, and the split holds iff each node's +1 ties inside
+    the set are exactly the rest of its own faction.  Rows are read one node
+    at a time, so nothing of size k x k is built for k nodes."""
+    nodes = sorted(_check_nodes(g, nodes))
+    mask = sum(1 << v for v in set(nodes))
+    if mask.bit_count() < len(nodes):
         raise ValueError("nodes must be distinct")
-    if nodes and (nodes[0] < 0 or nodes[-1] >= g.n):
-        raise ValueError("node index out of range")
-    return np.asarray(nodes, dtype=np.intp)
-
-
-def _block(g: SignedGraph, idx: np.ndarray) -> np.ndarray:
-    """The k x k int8 signs among the nodes ``idx``, gathered from the planes."""
-    bits = (g.bit_rows()[:, idx][:, :, idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
-    return bits[0].view(np.int8) - bits[1].view(np.int8)
-
-
-def _side(sub: np.ndarray) -> np.ndarray | None:
-    """The factions, +1 or -1, of the nodes of the int8 block ``sub``: row 0
-    with its anchor set to +1, returned iff it has no zero and ``sub`` equals
-    ``outer(side, side)`` with a zero diagonal, i.e. complete and balanced."""
-    side = sub[0].copy()
-    side[0] = 1
-    if not side.all():
-        return None
-    expected = np.outer(side, side)
-    np.fill_diagonal(expected, 0)
-    return side if np.array_equal(sub, expected) else None
+    a, complete, balanced = 0, True, True
+    for v in nodes:
+        pos, neg = _RowInts.read(g.bit_rows(), v)
+        bit = 1 << v
+        a = a or pos & mask | bit  # set once, by the lowest node
+        complete = complete and (pos | neg | bit) & mask == mask
+        balanced = balanced and pos & mask | bit == (a if a & bit else mask ^ a)
+    return complete, (a, mask ^ a) if complete and balanced else None
 
 
 def is_scbm(g: SignedGraph, nodes: Iterable[int]) -> bool:
@@ -375,8 +396,8 @@ def is_scbm(g: SignedGraph, nodes: Iterable[int]) -> bool:
     Requires at least three nodes, a nonzero sign on every pair, and a
     positive sign product on every triangle: a split into two factions.
     """
-    idx = _check_nodes(g, nodes)
-    return idx.size >= MIN_MODULE_SIZE and _side(_block(g, idx)) is not None
+    factions = _split(g, nodes)[1]
+    return factions is not None and (factions[0] | factions[1]).bit_count() >= MIN_MODULE_SIZE
 
 
 def bipartition(
@@ -388,14 +409,7 @@ def bipartition(
     split is unique up to a swap, resolved by anchoring the lowest-index node
     in faction A.  Raises ValueError when some pair has no edge.
     """
-    idx = _check_nodes(g, nodes)
-    k = idx.size
-    if k == 0:
-        return (), ()
-    sub = _block(g, idx)
-    if np.count_nonzero(sub) != k * (k - 1):
+    complete, factions = _split(g, nodes)
+    if not complete:
         raise ValueError("subgraph is incomplete: some pair has sign 0")
-    side = _side(sub)
-    if side is None:
-        return None
-    return tuple(idx[side > 0].tolist()), tuple(idx[side < 0].tolist())
+    return None if factions is None else (_mask_nodes(factions[0]), _mask_nodes(factions[1]))

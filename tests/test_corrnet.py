@@ -85,6 +85,11 @@ def test_pearson_scales_rows_whose_squares_overflow_or_underflow():
     assert c.values[0, 1] == pytest.approx(want, abs=1e-12)
     assert c.values[2, 1] == pytest.approx(want, abs=1e-12)
     assert c.values[0, 2] == pytest.approx(1.0, abs=1e-12)
+    # unscaled, the first row's sum overflows before its mean is taken
+    c = pearson_matrix([[1e308, 1.5e308, -1e308, 1e308], [1.0, 2.0, -1.0, 1.2]])
+    want = pearson_matrix([[1.0, 1.5, -1.0, 1.0], [1.0, 2.0, -1.0, 1.2]]).values[0, 1]
+    assert c.zero_variance.tolist() == [False, False]
+    assert c.values[0, 1] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 0.01, 1.0, 3.0, 1e6])
@@ -281,6 +286,18 @@ def test_validate_rejects_correlation_outside_unit_interval_on_both_routes(route
             validate(pair_matrix(3, 0, 1, value), t_len=10)
         else:
             t_statistic(value, 10)
+
+
+@pytest.mark.parametrize("value", [1.5, -1.5, np.nextafter(1.0, 2.0), np.nan])
+def test_from_values_rejects_correlation_outside_unit_interval(value):
+    # from_values kept 1.5 and NaN, which save_validated wrote and
+    # load_validated refused; its diagonal is still ignored
+    values = pair_matrix(3, 0, 1, value).values
+    with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+        ValidatedCorrMatrix.from_values(values)
+    np.fill_diagonal(values, value)
+    values[0, 1] = values[1, 0] = -1.0
+    assert ValidatedCorrMatrix.from_values(values).edges["w"].tolist() == [-1.0]
 
 
 # ---------------------------------------------------------------- summary stats

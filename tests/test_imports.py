@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import balancenet
@@ -36,3 +37,15 @@ def test_import_loads_no_thread_pool():
     # simulation trials run in order; the pool's module costs import time
     out = _fresh_import("import sys\nimport balancenet\nprint('concurrent.futures' in sys.modules)\n")
     assert out == ["False"]
+
+
+def test_all_lists_exactly_the_public_names():
+    # every name in __all__ resolves and every public non-module attribute is
+    # listed, so a removed public name cannot linger in one of the two
+    public = {
+        name
+        for name, value in vars(balancenet).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(balancenet.__all__)) == len(balancenet.__all__)
+    assert set(balancenet.__all__) == public

@@ -422,6 +422,17 @@ def test_expand_admits_opposite_faction_after_growth():
     assert expand([0, 1], [], g2, [2, 3]) == ((0, 1, 2), ())
 
 
+@pytest.mark.parametrize(
+    "a, b, candidates, node",
+    [([0], [], [5], 5), ([0], [], [-1], -1), ([3], [], [1], 3), ([0], [1, 7], [2], 7), ([0], [], [1, 2, 9], 9)],
+)
+def test_expand_refuses_a_node_outside_the_graph(a, b, candidates, node):
+    # candidate 5 raised IndexError and -1 numpy's "no negative elements"
+    g = graph_from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match=rf"node {node} is out of range for a graph of 3 nodes"):
+        expand(a, b, g, candidates)
+
+
 # ---------------------------------------------------------------- detection
 
 

@@ -14,7 +14,6 @@ from balancenet.signedgraph import (
     Module,
     SignedGraph,
     bipartition,
-    is_balanced_triangle,
     is_scbm,
     to_signed,
 )
@@ -250,28 +249,6 @@ def test_to_signed_monotone_in_sigma():
     assert not np.any(higher & ~lower)
 
 
-# ---------------------------------------------------------------- triangles
-
-
-@pytest.mark.parametrize(
-    "signs, balanced",
-    [
-        ((1, 1, 1), True),
-        ((1, -1, -1), True),
-        ((-1, 1, -1), True),
-        ((1, 1, -1), False),
-        ((-1, -1, -1), False),
-    ],
-)
-def test_is_balanced_triangle(signs, balanced):
-    assert is_balanced_triangle(*signs) is balanced
-
-
-def test_is_balanced_triangle_requires_complete():
-    with pytest.raises(ValueError):
-        is_balanced_triangle(1, 0, 1)
-
-
 # ---------------------------------------------------------------- is_scbm
 
 
@@ -367,6 +344,27 @@ def test_is_scbm_and_bipartition_stay_within_4_bytes_per_pair():
         tracemalloc.stop()
     # the gathered bits and the int8 block fit; a float64 or int64 copy does not
     assert max(peaks) <= 6 * k * k
+
+
+def test_is_scbm_and_bipartition_read_rows_not_a_block():
+    # each node's rows are read as ints one at a time; the int8 block read
+    # 4.02 bytes per pair here
+    n, k = 2000, 1000
+    side = np.where(np.arange(n) % 3 == 0, -1, 1).astype(np.int8)
+    signs = np.outer(side, side)
+    np.fill_diagonal(signs, 0)
+    g = SignedGraph(signs)
+    nodes = list(range(0, n, 2))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for check in (is_scbm, bipartition):
+            tracemalloc.reset_peak()
+            assert check(g, nodes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= k * k / 4
 
 
 def test_bipartition_two_factions():
