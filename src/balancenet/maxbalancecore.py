@@ -18,24 +18,43 @@ that later member cannot go while it lives.  So the survivors are exactly
 the members with only +1 ties to every later member, which is the one
 predicate the intra-faction step computes.
 
-Every kernel works on the packed sign planes of :meth:`SignedGraph.bit_rows`,
-the +1 rows and the -1 rows.  They are the graph's one stored form, so no
-call builds them, and node impacts are popcounts of their rows.  Signs are
-symmetric, so "u is -1 to all of a set" is u's bit in the AND of the set's
--1 rows: cross-pruning and the admission flags are AND-reduces over packed
-rows.  Each node's highest 64-bit word of conflicts, nodes without a +1 tie
-to it, is found once per call; one word test against it settles almost
-every intra-prune candidate without gathering its row.  Seeds go in chunks
-that fit ``_CHUNK_BYTES`` of gathered rows; one pass of each kernel prunes
-and flags all factions of a chunk, carried as one list of (faction, node)
-pairs, so the per-call cost is paid per chunk, not per seed.  From about
-4,100 nodes up a chunk is one seed.
+Each faction is first scanned on Python-int rows (see :func:`_scan`).  A
+member survives iff its +1 row holds every later member, so the scan reads
+the members' +1 rows from the highest down and keeps their AND: a member
+survives iff it is still in that AND when its row is read.  Once the AND
+holds no unread member, none of them can survive and the scan stops; in the
+general and negative regimes that takes a dozen or two rows of factions of
+hundreds or thousands.  Cross-pruning and the admission flags are then ANDs
+of the few survivors' rows.  A scan that has not stopped within
+``_SCAN_STEPS`` rows gives up, and its seed goes to the batched prune below:
+factions whose members are nearly all +1 to each other, as in the dense
+regime and around a planted core, keep most of their members, and numpy
+prunes those faster than a walk over them would: with no budget at all,
+``detect`` takes two to four times as long on the dense and planted
+graphs of the benchmark.
 
-Only the admission sweep runs seed by seed, on each seed's two flag
-bitsets as Python ints.  It never visits a node it does not admit: the
-flags only fall, so the next node admitted is always the lowest set flag,
-and each step jumps to it (see :func:`_sweep`).  The rows it ANDs in are
-converted to ints once per call, on first use, and shared by the seeds.
+The batched prune works on the packed sign planes of
+:meth:`SignedGraph.bit_rows`, the +1 rows and the -1 rows.  They are the
+graph's one stored form, so no call builds them, and node impacts are
+popcounts of their rows.  Signs are symmetric, so "u is -1 to all of a set"
+is u's bit in the AND of the set's -1 rows: cross-pruning and the admission
+flags are AND-reduces over packed rows.  Each node's highest 64-bit word of
+conflicts, nodes without a +1 tie to it, is found once per call, on the
+first seed that falls back; one word test against it settles almost every
+intra-prune candidate without gathering its row.  Seeds go in chunks that
+fit ``_CHUNK_BYTES`` of gathered rows, and the fallen-back seeds of a chunk
+go together: one pass of each kernel prunes and flags all their factions,
+carried as one list of (faction, node) pairs, so the per-call cost is paid
+per chunk, not per seed.  From about 4,100 nodes up a chunk is one seed.
+Their survivors and flags are packed into Python ints, the form the scan
+gives.
+
+The admission sweep runs seed by seed, on each seed's two flag bitsets.  It
+never visits a node it does not admit: the flags only fall, so the next node
+admitted is always the lowest set flag, and each step jumps to it (see
+:func:`_sweep`).  The rows that the scans, the cross-prunes and the sweeps
+read are converted to ints once per call, on first use, and shared by the
+seeds.
 """
 
 from __future__ import annotations
@@ -45,7 +64,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from balancenet.signedgraph import MIN_MODULE_SIZE, ROW_TILE, Module, SignedGraph, _check_nodes, _RowInts
+from balancenet.signedgraph import (
+    MIN_MODULE_SIZE,
+    ROW_TILE,
+    Module,
+    SignedGraph,
+    _as_int,
+    _check_factions,
+    _check_nodes,
+    _mask_nodes,
+    _RowInts,
+)
 
 DEFAULT_MAX_SEEDS = 100
 # packed-row bytes one chunk of seeds may gather, counted as n rows per seed,
@@ -56,15 +85,23 @@ DEFAULT_MAX_SEEDS = 100
 # budget can be large enough to share numpy's per-call cost among seeds.
 _CHUNK_BYTES = 4 * 1024 * 1024
 _ONES = ~np.uint64(0)
+# rows a faction's scan may read before it gives the faction to the batched
+# prune.  Scans that stop read far fewer: of 3,000 general-regime factions
+# (N = 1,000-10,000, seeds 5-7) the median read 13-17 rows and the longest
+# 31, and negative-regime scans read 2.  A dense faction reads the whole
+# budget before it falls back, so it is kept just above that tail.
+_SCAN_STEPS = 32
 
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Detection parameters: the seed budget."""
+    """Detection parameters: the seed budget, an integer >= 1.  NumPy
+    integers are converted; a bool, float or string raises ValueError."""
 
     max_seeds: int = DEFAULT_MAX_SEEDS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_seeds", _as_int(self.max_seeds, "max_seeds"))
         if self.max_seeds < 1:
             raise ValueError("max_seeds must be >= 1")
 
@@ -183,6 +220,81 @@ def _prune(masks: np.ndarray, planes: np.ndarray, conflicts: tuple) -> tuple:
     return _kept(a, neg_b[a[0], a[1]] == 1), b, b_and
 
 
+def _flags(a: Iterable[int], b: Iterable[int], rows: _RowInts, ok: int) -> tuple[int, int]:
+    """The flags for joining the factions ``a`` and ``b``: ``ok`` ANDed with
+    A's +1 rows and B's -1 rows, and ``ok`` ANDed with the mirror."""
+    ok_a = ok_b = ok
+    for u in a:
+        pos, neg = rows[u]
+        ok_a, ok_b = ok_a & pos, ok_b & neg
+    for v in b:
+        pos, neg = rows[v]
+        ok_a, ok_b = ok_a & neg, ok_b & pos
+    return ok_a, ok_b
+
+
+def _scan(faction: int, rows: _RowInts) -> int | None:
+    """The members of ``faction`` (node v is bit v) whose ties to every later
+    member are +1, or None if finding them takes more than ``_SCAN_STEPS``
+    rows.
+
+    The scan reads the members' +1 rows from the highest down.  ``alive`` is
+    the unread members that are +1 to every member read so far, so a member
+    survives iff it is still alive when its row is read; its own row clears
+    it, since the diagonal is 0.  Once nothing is alive no unread member can
+    survive, and the scan stops there.
+    """
+    kept, alive, rest = 0, faction, faction
+    for _ in range(_SCAN_STEPS):
+        if not alive:
+            return kept
+        top = rest.bit_length() - 1
+        bit = 1 << top
+        if alive.bit_length() > top:  # alive is within rest, so top is its highest
+            kept |= bit
+        rest ^= bit
+        alive &= rows[top][0]
+    return None if alive else kept
+
+
+def _scanned(seed: int, rows: _RowInts) -> tuple[int, int, int, int] | None:
+    """The seed's pruned factions A and B and its flags for joining A and for
+    joining B, all bitsets as Python ints, or None if :func:`_scan` gives up
+    on either faction.
+
+    A is scanned without the seed: every A member is +1 to it, so it would
+    only keep the scan from stopping, and it always survives.  An A member
+    stays iff it is -1 to all of B, and all of B stays (see :func:`_prune`).
+    """
+    pos, neg = rows[seed]
+    a = _scan(pos, rows)
+    b = None if a is None else _scan(neg, rows)
+    if b is None:
+        return None
+    b_nodes = _mask_nodes(b)
+    a |= 1 << seed
+    for v in b_nodes:
+        a &= rows[v][1]
+    return (a, b, *_flags(_mask_nodes(a), b_nodes, rows, -1))
+
+
+def _pruned(part: np.ndarray, planes: np.ndarray, conflicts: tuple) -> list[tuple[int, int, int, int]]:
+    """:func:`_scanned` for the seeds ``part`` at once, by :func:`_prune` over
+    their packed factions: the route for factions whose members are nearly
+    all +1 to each other, which the scan cannot settle within its budget."""
+    c = part.size
+    # A starts as each seed's +1 row and the seed, B as its -1 row
+    masks = planes[:, part].reshape(2 * c, -1)
+    masks[np.arange(c), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
+    a, b, b_and = _prune(masks, planes, conflicts)
+    ok = _and_rows(planes, *a[1:]) & b_and[::-1]
+    member = np.zeros((2 * c, 8 * masks.shape[1]), dtype=bool)
+    member[a[0], a[1]] = member[b[0] + c, b[1]] = True
+    kept = [int.from_bytes(m, "little") for m in np.packbits(member, axis=1, bitorder="little")]
+    flags = [int.from_bytes(f, "little") for f in ok.reshape(2 * c, -1)]
+    return list(zip(kept[:c], kept[c:], flags[:c], flags[c:]))
+
+
 def _sweep(ok_a: int, ok_b: int, rows: _RowInts) -> tuple[list[int], list[int]]:
     """The nodes admitted to A and to B, each ascending, from the flags ``ok_a``
     for joining A and ``ok_b`` for joining B, bit v for node v.
@@ -228,19 +340,15 @@ def expand(
     The conditions are two flag bitsets over the candidates: A's is the AND
     of A's +1 rows and B's -1 rows, B's the mirror, each row read as an int,
     and each admission ANDs the newcomer's rows into both (see
-    :func:`_sweep`).  Raises ValueError naming a node that is not in ``g``.
+    :func:`_sweep`).  Raises ValueError naming a node that is not in ``g``,
+    and as :class:`Module` does for a node listed twice or in both factions.
     """
     rows = _RowInts(g.bit_rows())
     a_list = sorted(_check_nodes(g, a))
     b_list = sorted(_check_nodes(g, b))
-    ok_a = ok_b = sum(1 << v for v in set(_check_nodes(g, candidates)))
-    for v in a_list:
-        pos, neg = rows[v]
-        ok_a, ok_b = ok_a & pos, ok_b & neg
-    for v in b_list:
-        pos, neg = rows[v]
-        ok_a, ok_b = ok_a & neg, ok_b & pos
-    fa, fb = _sweep(ok_a, ok_b, rows)
+    _check_factions(a_list, b_list)
+    ok = sum(1 << v for v in set(_check_nodes(g, candidates)))
+    fa, fb = _sweep(*_flags(a_list, b_list, rows, ok), rows)
     return tuple(sorted(a_list + fa)), tuple(sorted(b_list + fb))
 
 
@@ -265,33 +373,33 @@ def detect(g: SignedGraph, cfg: DetectConfig | None = None) -> Module:
     seeds = np.argsort(-impacts, kind="stable")[: min((cfg or DetectConfig()).max_seeds, g.n)]
     seeds = seeds[impacts[seeds] > 0]
     planes = g.bit_rows()
-    conflicts = _last_conflicts(planes[0])
-    rows = _RowInts(planes)  # shared by the seeds, whose modules overlap
+    conflicts = None  # built on the first fallback
+    rows = _RowInts(planes)  # shared by the seeds, whose factions and modules overlap
     chunk = max(1, _CHUNK_BYTES // max(planes[0].nbytes, 1))
 
-    best_size, best_a, best_b = 0, [], []
+    best_size, best = 0, None
     for first in range(0, seeds.size, chunk):
         part = seeds[first : first + chunk]
         if impacts[part[0]] + 1 <= best_size:
             break
-        # A starts as each seed's +1 row and the seed, B as its -1 row
-        masks = planes[:, part].reshape(2 * part.size, -1)
-        masks[np.arange(part.size), part >> 3] |= (1 << (part & 7)).astype(np.uint8)
-        a, b, b_and = _prune(masks, planes, conflicts)
-        ok = _and_rows(planes, *a[1:]) & b_and[::-1]
-        pruned = np.diff(a[2]) + np.diff(b[2])
-        flagged = np.bitwise_count(ok[0] | ok[1]).sum(axis=1, dtype=np.intp)
-        for i, (seed, size, bound) in enumerate(zip(part.tolist(), pruned.tolist(), (pruned + flagged).tolist())):
+        found = [_scanned(seed, rows) for seed in part.tolist()]
+        back = [i for i, f in enumerate(found) if f is None]
+        if back:
+            if conflicts is None:
+                conflicts = _last_conflicts(planes[0])
+            for i, f in zip(back, _pruned(part[back], planes, conflicts)):
+                found[i] = f
+        for seed, (a, b, ok_a, ok_b) in zip(part.tolist(), found):
             if impacts[seed] + 1 <= best_size:
                 break
-            if bound <= best_size:
+            size = a.bit_count() + b.bit_count()
+            if size + (ok_a | ok_b).bit_count() <= best_size:
                 continue
-            fa, fb = _sweep(int.from_bytes(ok[0, i], "little"), int.from_bytes(ok[1, i], "little"), rows)
+            fa, fb = _sweep(ok_a, ok_b, rows)
             if size + len(fa) + len(fb) > best_size:
-                best_size = size + len(fa) + len(fb)
-                best_a = a[1][a[2][i] : a[2][i + 1]].tolist() + fa
-                best_b = b[1][b[2][i] : b[2][i + 1]].tolist() + fb
+                best_size, best = size + len(fa) + len(fb), (a, b, fa, fb)
 
     if best_size < MIN_MODULE_SIZE:
         return Module.empty(g.sigma)
-    return Module(tuple(best_a), tuple(best_b), g.sigma).canonical()
+    a, b, fa, fb = best
+    return Module(_mask_nodes(a) + tuple(fa), _mask_nodes(b) + tuple(fb), g.sigma).canonical()

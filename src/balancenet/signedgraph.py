@@ -18,8 +18,9 @@ written by ``_write_upper``: the constructor, :func:`to_signed` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,21 +203,29 @@ class SignedGraph:
         return self._planes
 
 
-def _as_nodes(nodes: Iterable[int]) -> tuple[int, ...]:
-    """``nodes`` as Python ints, each taken by ``operator.index``, so that
-    NumPy integers pass; ValueError for a bool, float, string or any other
-    non-integer."""
-    import operator
+def _as_int(v: object, what: str = "node") -> int:
+    """``v`` as a Python int, taken by ``operator.index``, so that NumPy
+    integers pass; ValueError naming ``what`` for a bool, float, string or
+    any other non-integer."""
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
-    out = []
-    for v in nodes:
-        try:
-            if isinstance(v, bool):
-                raise TypeError
-            out.append(operator.index(v))
-        except TypeError:
-            raise ValueError(f"node {v!r} is not an integer") from None
-    return tuple(out)
+
+def _as_nodes(nodes: Iterable[int]) -> tuple[int, ...]:
+    """``nodes`` as Python ints, each by :func:`_as_int`."""
+    return tuple(_as_int(v) for v in nodes)
+
+
+def _check_factions(a: Sequence[int], b: Sequence[int]) -> None:
+    """ValueError if a faction lists a node twice or the factions share one."""
+    if len(set(a)) < len(a) or len(set(b)) < len(b):
+        raise ValueError("a faction lists a node twice")
+    if set(a) & set(b):
+        raise ValueError("factions must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -238,10 +247,7 @@ class Module:
         b = tuple(sorted(_as_nodes(self.faction_b)))
         object.__setattr__(self, "faction_a", a)
         object.__setattr__(self, "faction_b", b)
-        if len(set(a)) < len(a) or len(set(b)) < len(b):
-            raise ValueError("a faction lists a node twice")
-        if set(a) & set(b):
-            raise ValueError("factions must be disjoint")
+        _check_factions(a, b)
 
     @classmethod
     def empty(cls, sigma: float | None = None) -> "Module":

@@ -1,6 +1,7 @@
 """Tests for the seed-and-grow detection heuristic."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from balancenet import maxbalancecore
 from balancenet.maxbalancecore import (
     _CHUNK_BYTES,
     DetectConfig,
+    _SCAN_STEPS,
     _last_conflicts,
     _prune,
+    _scan,
     detect,
     expand,
     node_impacts,
@@ -20,7 +23,7 @@ from balancenet.maxbalancecore import (
 from balancenet.experiments import regime_edge_law
 from balancenet.oracle import exact_lscbm
 from balancenet.randgen import SignedModelParams, plant_lscbm, sample_signed
-from balancenet.signedgraph import Module, SignedGraph, is_scbm, to_signed
+from balancenet.signedgraph import Module, SignedGraph, _mask_nodes, _RowInts, is_scbm, to_signed
 
 
 def graph_from_edges(n, edges):
@@ -36,6 +39,15 @@ def graph_from_edges(n, edges):
 def test_detect_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(max_seeds=0)
+
+
+@pytest.mark.parametrize("max_seeds", [2.5, float("nan"), True, "3"])
+def test_detect_config_refuses_a_max_seeds_that_is_not_an_integer(max_seeds):
+    # 2.5 and nan were accepted and made detect fail on a slice, True was
+    # taken as 1, and "3" raised TypeError
+    with pytest.raises(ValueError, match=r"max_seeds .* is not an integer"):
+        DetectConfig(max_seeds=max_seeds)
+    assert DetectConfig(max_seeds=np.int64(3)) == DetectConfig(max_seeds=3)
 
 
 @pytest.mark.parametrize("find", [detect, exact_lscbm], ids=["detect", "exact_lscbm"])
@@ -107,26 +119,34 @@ def test_detect_chunks_stay_within_the_budget():
 
 
 def test_detect_reuses_rows_across_seeds(monkeypatch):
-    # the seeds of this graph admit 155 nodes in all but only 47 distinct
-    # ones, so most admissions AND in rows that an earlier seed converted
-    converted, admitted = [], []
+    # the seeds' scans, cross-prunes, flags and sweeps read rows 1,568 times
+    # on this graph but convert each of its 65 nodes' rows once
+    converted, read = [], []
 
     class CountingRows(maxbalancecore._RowInts):
+        def __getitem__(self, node):
+            read.append(node)
+            return super().__getitem__(node)
+
         def __missing__(self, node):
             converted.append(node)
             return super().__missing__(node)
 
-    def counting_sweep(ok_a, ok_b, rows):
-        fa, fb = sweep(ok_a, ok_b, rows)
-        admitted.extend(fa + fb)
-        return fa, fb
-
-    sweep = maxbalancecore._sweep
     monkeypatch.setattr(maxbalancecore, "_RowInts", CountingRows)
-    monkeypatch.setattr(maxbalancecore, "_sweep", counting_sweep)
     g = sample_signed(SignedModelParams(65, 0.6, 0.3, seed=0))
     assert detect(g) == reference_detect(reference_seed_modules(g, 100))
-    assert sorted(converted) == sorted(set(admitted)) and len(converted) < len(admitted)
+    assert len(converted) == len(set(converted)) and len(converted) < len(read)
+
+
+def budget_graphs():
+    """Graphs whose seeds split into several chunks under a small chunk budget."""
+    graphs = [
+        sample_signed(SignedModelParams(n, alpha, beta, seed=n))
+        for n, (alpha, beta) in zip((9, 40, 130, 300), [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (0.6, 0.3)])
+    ]
+    clique = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
+    graphs.append(graph_from_edges(600, clique + [(4, 5, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1), (7, 8, 1)]))
+    return graphs
 
 
 @pytest.mark.parametrize("budget", [1, 1024, 16 * 1024])
@@ -134,15 +154,45 @@ def test_detect_does_not_depend_on_the_chunk_budget(budget, monkeypatch):
     # a 1-byte budget makes each seed a chunk of its own; 1 KiB puts 3 seeds
     # in a chunk at n = 40, and 16 KiB 5 at n = 130.  The default budget puts
     # all the seeds of these graphs in one chunk.
-    graphs = [
-        sample_signed(SignedModelParams(n, alpha, beta, seed=n))
-        for n, (alpha, beta) in zip((9, 40, 130, 300), [(0.6, 0.3), (0.95, 0.03), (0.05, 0.9), (0.6, 0.3)])
-    ]
-    clique = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
-    graphs.append(graph_from_edges(600, clique + [(4, 5, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1), (7, 8, 1)]))
+    graphs = budget_graphs()
     want = [detect(g) for g in graphs]
     monkeypatch.setattr(maxbalancecore, "_CHUNK_BYTES", budget)
     assert [detect(g) for g in graphs] == want
+
+
+def test_detect_does_not_depend_on_the_scan_budget(monkeypatch):
+    # a budget of 0 sends every seed to the batched prune, since a seed has
+    # a nonempty row, and a budget of n lets every scan finish, since a
+    # faction has fewer than n members
+    graphs = budget_graphs() + [
+        sample_signed(SignedModelParams(400, 0.95, 0.03, seed=4)),
+        to_signed(plant_lscbm(300, 30, 60, 0.7, seed=4).matrix, 0.7),
+    ]
+    want = [detect(g) for g in graphs]
+    assert want[-1].size >= 90
+    for steps in (0, None):
+        for g, module in zip(graphs, want):
+            monkeypatch.setattr(maxbalancecore, "_SCAN_STEPS", g.n if steps is None else steps)
+            assert detect(g) == module
+
+
+@pytest.mark.parametrize("regime, falls_back", [("general", False), ("negative", False), ("dense", True)])
+def test_only_dense_factions_fall_back_to_the_batched_prune(regime, falls_back, monkeypatch):
+    # general and negative factions empty within the scan budget; dense
+    # factions keep nearly every member, and their seeds go to _prune
+    fallen = []
+
+    def recording(part, planes, conflicts):
+        fallen.extend(part.tolist())
+        return pruned(part, planes, conflicts)
+
+    pruned = maxbalancecore._pruned
+    monkeypatch.setattr(maxbalancecore, "_pruned", recording)
+    g = sample_signed(SignedModelParams(1000, *regime_edge_law(regime, 1000), seed=3))
+    module = detect(g)
+    assert bool(fallen) == falls_back
+    monkeypatch.setattr(maxbalancecore, "_SCAN_STEPS", 0)
+    assert detect(g) == module
 
 
 # ---------------------------------------------------------------- last conflicts
@@ -335,6 +385,49 @@ def test_jump_sweep_matches_the_int8_rule(case):
             assert expand(*factions, g, candidates) == reference_expand(*factions, g.signs, candidates)
 
 
+def reference_scan(faction, signs):
+    """The members of ``faction`` that are +1 to every later member, and the
+    number of rows, read from the highest member down, after which no unread
+    member is +1 to every member read."""
+    members = sorted(faction, reverse=True)
+    kept = [u for i, u in enumerate(members) if all(signs[u, v] == 1 for v in members[:i])]
+    steps = next(
+        k for k in range(len(members) + 1) if not any(all(signs[u, v] == 1 for v in members[:k]) for u in members[k:])
+    )
+    return tuple(sorted(kept)), steps
+
+
+@st.composite
+def scan_cases(draw):
+    """A sampled graph of n in {63, 64, 65, 128} nodes under the general,
+    dense, negative or (0.8, 0.15) law, and a faction: a node's +1 or -1
+    row, or any drawn set of nodes."""
+    n = draw(st.sampled_from([63, 64, 65, 128]))
+    law = draw(st.sampled_from(["general", "dense", "negative", (0.8, 0.15)]))
+    law = law if isinstance(law, tuple) else regime_edge_law(law, n)
+    g = sample_signed(SignedModelParams(n, *law, seed=draw(st.integers(0, 2**32 - 1))))
+    kind = draw(st.sampled_from(["pos", "neg", "drawn"]))
+    if kind == "drawn":
+        return g, draw(st.sets(st.integers(0, n - 1)))
+    return g, set(np.flatnonzero(g.signs[draw(st.integers(0, n - 1))] == (1 if kind == "pos" else -1)).tolist())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scan_cases())
+def test_scan_matches_the_literal_survivors_within_its_budget(case):
+    # under the default budget and at either side of the rows the faction
+    # needs; the dense law at n = 128 gives +1 rows that need more than the
+    # default, and the other laws rows and sets that need far fewer
+    g, faction = case
+    survivors, steps = reference_scan(faction, g.signs)
+    for budget in (_SCAN_STEPS, steps, steps - 1):
+        with mock.patch.object(maxbalancecore, "_SCAN_STEPS", max(budget, 0)):
+            kept = _scan(sum(1 << v for v in faction), _RowInts(g.bit_rows()))
+        assert (kept is None) == (steps > max(budget, 0))
+        if kept is not None:
+            assert _mask_nodes(kept) == survivors
+
+
 def reference_seed_modules(g, max_seeds):
     """The seed loop, seed by seed, on the literal prune and admission rules.
 
@@ -431,6 +524,25 @@ def test_expand_refuses_a_node_outside_the_graph(a, b, candidates, node):
     g = graph_from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     with pytest.raises(ValueError, match=rf"node {node} is out of range for a graph of 3 nodes"):
         expand(a, b, g, candidates)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([0, 0], [], "a faction lists a node twice"),
+        ([0], [1, 1], "a faction lists a node twice"),
+        ([0], [0], "factions must be disjoint"),
+        ([0, 1], [2, 1], "factions must be disjoint"),
+    ],
+    ids=["a-twice", "b-twice", "shared", "shared-later"],
+)
+def test_expand_refuses_a_node_listed_twice_or_in_both_factions(a, b, message):
+    # ([0, 0], []) gave ((0, 0, 2, 3), ()) and ([0], [0]) gave ((0,), (0,))
+    g = SignedGraph(signs=np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8))
+    with pytest.raises(ValueError, match=message):
+        expand(a, b, g, [2, 3])
+    with pytest.raises(ValueError, match=message):
+        Module(a, b)
 
 
 # ---------------------------------------------------------------- detection
